@@ -7,10 +7,9 @@
 #                tracing, profiling, sim-throughput, parallel-parse and
 #                served paths; writes *.smoke.json only).  Gates hard:
 #                the sim section fails on trace-off/trace-on speedup
-#                bars, any degraded insn under tracing, or an
-#                engine-differential divergence; the parse section
-#                fails below a 1.5x largest-corpus speedup over the
-#                sequential reference parser or on any CFG difference
+#                bars or an engine-differential divergence; the parse
+#                section fails below a 1.5x largest-corpus speedup over
+#                the sequential reference parser or on any CFG difference
 
 #   fuzz-smoke   fixed-seed differential fuzz: rvsim vs the Sail IR in
 #                lockstep, the exhaustive RVC decoder sweep, the rewrite
@@ -29,9 +28,10 @@
 #                byte-identical, clean shutdown
 #   verify-smoke symbolic tier: prove every built-in mutatee rewrite
 #                equivalent site by site, require every seeded
-#                wrong-rewrite class to pass the structural verifier
-#                but fail symbolically, and pin the exit-2 convention
-#                for unreadable inputs
+#                wrong-rewrite class to pass the structural rules but
+#                fail symbolically, check `rvlint verify` exits 1 on a
+#                tampered manifest, and pin the exit-2 convention for
+#                unreadable inputs
 #   check        fmt + build + test + fuzz-smoke + lint-smoke +
 #                verify-smoke + serve-smoke + bench-smoke — what CI and
 #                the PR driver run

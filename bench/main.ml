@@ -710,12 +710,11 @@ let lockstep_throughput ?(count = 50_000) () =
    wall-clock second) for the two execution engines, trace-off and
    trace-on.  Trace-on measures the fused path: the hook is compiled
    into the cached blocks, so the engine must stay well ahead of the
-   interpreter instead of falling back to per-instruction dispatch
-   ([st_degraded] is asserted 0).  Every number is paired with the
-   engine differential (Check_api.Enginediff), which must report zero
-   divergences for the speedup to count; both speedups, the degraded
-   count and the differential are hard gates (the bench fails, and
-   `make bench-smoke` / `make check` with it, on violation). *)
+   interpreter.  Every number is paired with the engine differential
+   (Check_api.Enginediff), which must report zero divergences for the
+   speedup to count; both speedups and the differential are hard gates
+   (the bench fails, and `make bench-smoke` / `make check` with it, on
+   violation). *)
 let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   print_endline "\n== rvsim throughput: superblock engine vs interpreter ==";
   let n = if smoke then 10 else 24 in
@@ -758,9 +757,6 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   and flushes = Rvsim.Bbcache.flushes () in
   let interp_on = measure ~engine:Rvsim.Machine.Eng_interp ~traced:true in
   let block_on = measure ~engine:Rvsim.Machine.Eng_block ~traced:true in
-  (* stats were reset at the start of the trace-on block run: a nonzero
-     degraded count there means the engine abandoned the fused path *)
-  let degraded_on = st.Rvsim.Bbcache.st_degraded in
   let speedup_off = block_off /. interp_off in
   let speedup_on = block_on /. interp_on in
   (* smoke configs run a tiny mutatee where translation overhead eats a
@@ -774,9 +770,8 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   Printf.printf "   %-12s %9.1f MIPS %9.1f MIPS\n" "superblock" block_off block_on;
   Printf.printf "   %-12s %11.2fx %11.2fx\n" "speedup" speedup_off speedup_on;
   Printf.printf
-    "   block cache: %d blocks translated, %d chain hits, %d flushes, %d \
-     degraded insns (trace-on)\n"
-    translated chain_hits flushes degraded_on;
+    "   block cache: %d blocks translated, %d chain hits, %d flushes\n"
+    translated chain_hits flushes;
   let off_ok = speedup_off >= off_bar and on_ok = speedup_on >= on_bar in
   Printf.printf "   trace-off speedup >= %.1fx: %s\n" off_bar
     (if off_ok then "ok" else "VIOLATED");
@@ -804,24 +799,18 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
     \  \"blocks_translated\": %d,\n\
     \  \"chain_hits\": %d,\n\
     \  \"flushes\": %d,\n\
-    \  \"st_degraded_trace_on\": %d,\n\
     \  \"engine_diff_runs\": %d,\n\
     \  \"engine_diff_divergences\": %d,\n\
     \  \"speedup_3x_ok\": %b,\n\
     \  \"speedup_trace_on_ok\": %b\n\
      }\n"
     n n reps interp_off block_off interp_on block_on speedup_off speedup_on
-    translated chain_hits flushes degraded_on diff.Check_api.Enginediff.s_checked
+    translated chain_hits flushes diff.Check_api.Enginediff.s_checked
     diff.Check_api.Enginediff.s_diverged off_ok on_ok;
   close_out oc;
   Printf.printf "   wrote %s\n" json;
   if diff.Check_api.Enginediff.s_diverged > 0 then
     failwith "sim-throughput gate: engine differential diverged";
-  if degraded_on <> 0 then
-    Printf.ksprintf failwith
-      "sim-throughput gate: %d degraded insns under tracing (fused path \
-       abandoned)"
-      degraded_on;
   if not off_ok then
     Printf.ksprintf failwith
       "sim-throughput gate: trace-off speedup %.2fx below the %.1fx bar"

@@ -9,8 +9,9 @@
      rvlint verify orig rewritten --manifest m.json [--json]
          check a rewritten binary against the manifest its rewrite
          emitted (rvrewrite --manifest): springboard targets on
-         instruction boundaries, relocated def/use sets, trampoline
-         stack balance, §4.3 dead-register claims, jump-table integrity
+         instruction boundaries, §4.3 dead-register claims, jump-table
+         integrity, then a symbolic proof that each relocated block is
+         equivalent to the original (Verify_api.Check.verify_rewrite)
      rvlint smoke
          lint + instrument + rewrite + verify every built-in mutatee in
          memory; non-zero exit on any error diagnostic (`make lint-smoke`) *)
@@ -41,7 +42,7 @@ let run_lint file json domains =
       emit json ds;
       if Diag.n_errors ds > 0 then 1 else 0
 
-let run_verify orig_path rw_path manifest_path json symbolic =
+let run_verify orig_path rw_path manifest_path json =
   match
     try
       let b = Core.open_file orig_path in
@@ -55,25 +56,15 @@ let run_verify orig_path rw_path manifest_path json symbolic =
       2
   | Ok (b, m, rw) ->
       let ds =
-        Verifier.verify ~orig:b.Core.symtab b.Core.cfg ~manifest:m
-          ~rewritten:rw
-      in
-      let ds =
-        if symbolic then
-          ds
-          @ Verify_api.Check.to_diags
-              (Verify_api.Check.check_manifest ~orig:b.Core.symtab b.Core.cfg
-                 ~manifest:m ~rewritten:rw)
-        else ds
+        Verify_api.Check.verify_rewrite ~orig:b.Core.symtab b.Core.cfg
+          ~manifest:m ~rewritten:rw
       in
       emit json ds;
       if Diag.n_errors ds > 0 then 1 else 0
 
 (* The CI profile: every built-in mutatee is linted, instrumented at
    function entries, every block and loop back edge, rewritten with the
-   default strategy mix, and statically verified — with the Rewriter
-   verify hook armed so a bad rewrite fails inside [Core.rewrite]
-   itself. *)
+   default strategy mix, and verified structurally and symbolically. *)
 let builtins =
   [
     ("fib", lazy Minicc.Programs.fib);
@@ -105,41 +96,47 @@ let smoke_one name src =
         (fun pt -> Core.insert m pt [ Codegen_api.Snippet.incr (counter ()) ])
         (Core.at_loop_backedges b fname))
     (Core.functions b);
-  Verifier.install ();
-  let result =
-    match Core.rewrite m with
-    | rw -> (
-        Verifier.uninstall ();
-        match Core.manifest m with
-        | None -> Error "no manifest after rewrite"
-        | Some manifest ->
-            Ok (Verifier.verify ~orig:b.Core.symtab b.Core.cfg ~manifest ~rewritten:rw))
-    | exception Verifier.Verify_failed ds ->
-        Verifier.uninstall ();
-        Ok ds
-  in
-  match result with
-  | Error e ->
-      pr "%-8s FAILED: %s@." name e;
-      1
-  | Ok verify_ds ->
+  let rw = Core.rewrite m in
+  match Core.manifest m with
+  | None ->
+      pr "%-8s FAILED: no manifest after rewrite@." name;
+      (1, 0)
+  | Some manifest ->
+      let verify_ds =
+        Verify_api.Check.verify_rewrite ~orig:b.Core.symtab b.Core.cfg
+          ~manifest ~rewritten:rw
+      in
+      (* a site is proved when the symbolic tier said nothing about it *)
+      let unproved =
+        List.sort_uniq Int64.compare
+          (List.filter_map
+             (fun (d : Diag.t) ->
+               if String.starts_with ~prefix:"symbolic-" d.Diag.d_rule then
+                 Some d.Diag.d_addr
+               else None)
+             verify_ds)
+      in
+      let sites = List.length manifest.Patch_api.Manifest.m_entries in
+      let proved = sites - List.length unproved in
       let le = Diag.n_errors lint_ds and ve = Diag.n_errors verify_ds in
       pr "%-8s lint: %d diagnostic(s), %d error(s); verify: %d diagnostic(s), \
-          %d error(s)@."
-        name (List.length lint_ds) le (List.length verify_ds) ve;
+          %d error(s), %d/%d site(s) proved@."
+        name (List.length lint_ds) le (List.length verify_ds) ve proved sites;
       List.iter
         (fun d -> pr "  %a@." Diag.pp d)
         (Diag.errors lint_ds @ Diag.errors verify_ds);
-      if le + ve > 0 then 1 else 0
+      ((if le + ve > 0 then 1 else 0), proved)
 
 let run_smoke () =
-  let rc =
+  let rc, proved =
     List.fold_left
-      (fun acc (name, src) -> acc + smoke_one name (Lazy.force src))
-      0 builtins
+      (fun (rc, proved) (name, src) ->
+        let rc', proved' = smoke_one name (Lazy.force src) in
+        (rc + rc', proved + proved'))
+      (0, 0) builtins
   in
   if rc = 0 then begin
-    pr "lint-smoke: ok@.";
+    pr "lint-smoke: ok, %d site(s) proved@." proved;
     0
   end
   else 1
@@ -177,14 +174,6 @@ let manifest_arg =
     & info [ "manifest" ] ~docv:"M.json"
         ~doc:"patch manifest emitted by the rewrite (rvrewrite --manifest)")
 
-let symbolic_arg =
-  Arg.(
-    value & flag
-    & info [ "symbolic" ]
-        ~doc:
-          "after the structural rules, symbolically prove each patch \
-           site equivalent to its original block (rvverify tier)")
-
 let rules_cmd =
   Cmd.v (Cmd.info "rules" ~doc:"print the diagnostic catalog")
     Term.(const run_rules $ const ())
@@ -198,8 +187,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"check a rewritten binary against its manifest")
     Term.(
-      const run_verify $ orig_arg $ rw_arg $ manifest_arg $ json_arg
-      $ symbolic_arg)
+      const run_verify $ orig_arg $ rw_arg $ manifest_arg $ json_arg)
 
 let smoke_cmd =
   Cmd.v

@@ -9,8 +9,9 @@
      rvverify smoke
          instrument + rewrite every built-in minicc mutatee and require
          every site to prove, then require every seeded wrong-rewrite
-         class to pass the structural verifier but fail symbolically
-         (`make verify-smoke`) *)
+         class to pass the structural rules, fail symbolically and so
+         fail Check.verify_rewrite, while its healthy twin verifies
+         clean (`make verify-smoke`) *)
 
 open Cmdliner
 open Verify_api
@@ -112,22 +113,31 @@ let smoke_minicc name src =
         (Check.to_diags r);
       if r.Check.r_ok = List.length r.Check.r_sites then 0 else 1
 
+(* Each seeded class must slip past the structural rules, be caught by
+   the symbolic tier directly, and fail [Check.verify_rewrite] (the
+   path `rvlint verify` takes); its healthy twin must verify clean. *)
 let smoke_wrongs () =
   List.fold_left
     (fun acc (c : Wrongs.case) ->
+      let orig = c.Wrongs.wc_symtab and cfg = c.Wrongs.wc_cfg in
+      let manifest = c.Wrongs.wc_manifest in
       let structural =
-        Lint_api.Verifier.verify ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
-          ~manifest:c.Wrongs.wc_manifest ~rewritten:c.Wrongs.wc_bad
+        Lint_api.Verifier.verify ~orig cfg ~manifest ~rewritten:c.Wrongs.wc_bad
       in
       let se = Lint_api.Diag.n_errors structural in
-      let r =
-        Check.check_manifest ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
-          ~manifest:c.Wrongs.wc_manifest ~rewritten:c.Wrongs.wc_bad
-      in
+      let r = Check.check_manifest ~orig cfg ~manifest ~rewritten:c.Wrongs.wc_bad in
       let caught = r.Check.r_failed > 0 in
-      pr "%-22s structural: %d error(s); symbolic: %s@." c.Wrongs.wc_name se
-        (if caught then "caught" else "MISSED");
-      if se = 0 && caught then acc else acc + 1)
+      let errors rewritten =
+        Lint_api.Diag.n_errors
+          (Check.verify_rewrite ~orig cfg ~manifest ~rewritten)
+      in
+      let ve = errors c.Wrongs.wc_bad and he = errors c.Wrongs.wc_healthy in
+      pr "%-22s structural: %d error(s); symbolic: %s; verify_rewrite: %d \
+          error(s), healthy twin %d@."
+        c.Wrongs.wc_name se
+        (if caught then "caught" else "MISSED")
+        ve he;
+      if se = 0 && caught && ve > 0 && he = 0 then acc else acc + 1)
     0 (Wrongs.corpus ())
 
 let run_smoke () =

@@ -1,7 +1,7 @@
-(* The rule catalog: every diagnostic the linter or the patch verifier
-   can emit, with its default severity and a one-line description.
-   `rvlint rules` prints this table; DESIGN.md documents the rationale
-   per rule. *)
+(* The rule catalog: every diagnostic the linter or the rewrite
+   verifier (structural rules and symbolic tier) can emit, with its
+   default severity and a one-line description.  `rvlint rules` prints
+   this table; DESIGN.md documents the rationale per rule. *)
 
 type scope = Lint | Verify
 
@@ -124,22 +124,6 @@ let all : rule list =
       r_doc = "trap springboard with no entry in the trap map";
     };
     {
-      r_id = "bad-relocation";
-      r_severity = Diag.Error;
-      r_scope = Verify;
-      r_doc =
-        "relocated block's def/use sets disagree with the original \
-         instructions";
-    };
-    {
-      r_id = "stack-imbalance";
-      r_severity = Diag.Error;
-      r_scope = Verify;
-      r_doc =
-        "trampoline's net stack-pointer motion differs from the original \
-         block";
-    };
-    {
       r_id = "clobber-live";
       r_severity = Diag.Error;
       r_scope = Verify;
@@ -161,6 +145,24 @@ let all : rule list =
       r_scope = Verify;
       r_doc =
         "non-zero bytes left in a patched block after its springboard";
+    };
+    (* --- symbolic tier (Verify_api.Check.verify_rewrite) ------------------ *)
+    {
+      r_id = "symbolic-inequivalence";
+      r_severity = Diag.Error;
+      r_scope = Verify;
+      r_doc =
+        "relocated block provably differs from the original (exit, \
+         registers incl. sp, CSRs, memory) beyond the declared snippet \
+         effects";
+    };
+    {
+      r_id = "symbolic-timeout";
+      r_severity = Diag.Warning;
+      r_scope = Verify;
+      r_doc =
+        "symbolic equivalence of a patch site inconclusive within the \
+         step/path budget";
     };
   ]
 

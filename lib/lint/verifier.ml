@@ -1,23 +1,21 @@
 (* The patch verifier: re-parse a rewritten binary against the manifest
-   [Patch_api.Rewriter.plan] emitted and check the rewrite's claims
-   instead of trusting them —
+   [Patch_api.Rewriter.plan] emitted and check the rewrite's structural
+   claims instead of trusting them —
 
      - every springboard decodes, targets its trampoline, and lands on a
        decoded instruction boundary there;
      - an auipc+jalr springboard's scratch register really is dead at
        the block entry (paper §4.3);
-     - each relocated block keeps its def/use sets, modulo the registers
-       the manifest declares the woven snippets may write and the
-       assembler's relaxation scratch (t1);
-     - trampoline stack motion balances against the original block per
-       Stack_height;
      - every register a snippet leaves clobbered is statically dead at
        its patch point (the §4.3 optimization, validated);
      - jump-table entries in the rewritten image still land on
        instruction boundaries, never inside a patched-out block.
 
-   All checks run on static artifacts only — no execution — making this
-   the cheap complement to the dynamic rvcheck round trip. *)
+   Whether each relocated block still computes what the original did
+   (registers, stack pointer, memory) is the symbolic tier's job
+   ([Verify_api.Check.verify_rewrite] runs both).  All checks run on
+   static artifacts only — no execution — making this the cheap
+   complement to the dynamic rvcheck round trip. *)
 
 open Riscv
 open Parse_api
@@ -26,8 +24,6 @@ module M = Patch_api.Manifest
 
 let err ~rule ?func ~addr fmt = Diag.make ~rule ~severity:Diag.Error ?func ~addr fmt
 let warn ~rule ?func ~addr fmt = Diag.make ~rule ~severity:Diag.Warning ?func ~addr fmt
-
-let reg_list_str rs = String.concat "," (List.map Reg.name rs)
 
 (* decode the trampoline region linearly; alignment padding (zero bytes)
    does not decode and is skipped a halfword at a time *)
@@ -51,27 +47,6 @@ let decode_tramp (rw : Symtab.t) (m : M.t) :
       in
       go m.M.m_tramp_base;
       Some insns
-
-(* instructions of one trampoline span [lo, hi), in address order *)
-let span_insns insns lo hi : Instruction.t list =
-  Hashtbl.fold
-    (fun a ins acc ->
-      if Int64.compare a lo >= 0 && Int64.compare a hi < 0 then ins :: acc
-      else acc)
-    insns []
-  |> List.sort (fun (a : Instruction.t) b ->
-         Int64.compare a.Instruction.addr b.Instruction.addr)
-
-let fold_height insns =
-  List.fold_left
-    (fun h ins -> Stack_height.step_insn ins h)
-    (Stack_height.Known 0) insns
-
-let pp_height fmt = function
-  | Stack_height.Known k -> Format.fprintf fmt "%+d" k
-  | Stack_height.Unknown -> Format.pp_print_string fmt "unknown"
-
-let union_regs lists = List.sort_uniq compare (List.concat lists)
 
 let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
     ~(rewritten : Elfkit.Types.image) : Diag.t list =
@@ -107,17 +82,6 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
              "patch data area (%d bytes at 0x%Lx) missing from the rewritten \
               image"
              m.M.m_data_size m.M.m_data_base));
-  let tramp_end = Int64.add m.M.m_tramp_base (Int64.of_int m.M.m_tramp_size) in
-  let span_end e =
-    List.fold_left
-      (fun acc (e' : M.entry) ->
-        if
-          Int64.compare e'.M.me_tramp e.M.me_tramp > 0
-          && Int64.compare e'.M.me_tramp acc < 0
-        then e'.M.me_tramp
-        else acc)
-      tramp_end m.M.m_entries
-  in
   (* --- per-entry checks -------------------------------------------------- *)
   List.iter
     (fun (e : M.entry) ->
@@ -215,55 +179,12 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                       %d-byte springboard"
                      at e.M.me_sb_len)
           | _ -> ());
-          (* 2. the relocated block in the trampoline *)
-          let span = span_insns tramp_insns e.M.me_tramp (span_end e) in
-          if span = [] then
+          (* 2. the relocated block is in the trampoline *)
+          if not (Hashtbl.mem tramp_insns e.M.me_tramp) then
             fail_rule "manifest-mismatch"
               "no trampoline instructions at 0x%Lx for block 0x%Lx"
-              e.M.me_tramp at
-          else begin
-            let orig_defs =
-              union_regs (List.map Instruction.regs_written b.Cfg.b_insns)
-            in
-            let orig_uses =
-              union_regs (List.map Instruction.regs_read b.Cfg.b_insns)
-            in
-            let span_defs = union_regs (List.map Instruction.regs_written span) in
-            let span_uses = union_regs (List.map Instruction.regs_read span) in
-            let snippet_defs =
-              union_regs
-                (List.map (fun i -> i.M.mi_code_defs) e.M.me_insertions)
-            in
-            let allowed = union_regs [ orig_defs; snippet_defs; [ Reg.t1 ] ] in
-            let lost = List.filter (fun r -> not (List.mem r span_defs)) orig_defs in
-            if lost <> [] then
-              fail_rule "bad-relocation"
-                "relocated block 0x%Lx lost def(s) of %s" at
-                (reg_list_str lost);
-            let extra = List.filter (fun r -> not (List.mem r allowed)) span_defs in
-            if extra <> [] then
-              fail_rule "bad-relocation"
-                "relocated block 0x%Lx writes undeclared register(s) %s" at
-                (reg_list_str extra);
-            let lost_uses =
-              List.filter (fun r -> not (List.mem r span_uses)) orig_uses
-            in
-            if lost_uses <> [] then
-              fail_rule "bad-relocation"
-                "relocated block 0x%Lx lost use(s) of %s" at
-                (reg_list_str lost_uses);
-            (* 3. stack balance *)
-            match fold_height b.Cfg.b_insns with
-            | Stack_height.Unknown -> ()
-            | orig_h ->
-                let tramp_h = fold_height span in
-                if tramp_h <> orig_h then
-                  fail_rule "stack-imbalance"
-                    "trampoline for 0x%Lx moves sp by %a; original block \
-                     moves it by %a"
-                    at pp_height tramp_h pp_height orig_h
-          end;
-          (* 4. snippet clobbers statically dead at each patch point *)
+              e.M.me_tramp at;
+          (* 3. snippet clobbers statically dead at each patch point *)
           match Cfg.func_at cfg e.M.me_func with
           | None -> ()
           | Some f ->
@@ -386,23 +307,3 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
         done)
     cfg.Cfg.jump_tables;
   Diag.sort !ds
-
-(* --- the Rewriter hook ------------------------------------------------------ *)
-
-exception Verify_failed of Diag.t list
-
-let () =
-  Printexc.register_printer (function
-    | Verify_failed ds ->
-        Some
-          (Format.asprintf "Verify_failed:@\n%a" Diag.pp_report ds)
-    | _ -> None)
-
-let install () =
-  Patch_api.Rewriter.verify_hook :=
-    Some
-      (fun symtab cfg ~manifest ~rewritten ->
-        let ds = verify ~orig:symtab cfg ~manifest ~rewritten in
-        if Diag.n_errors ds > 0 then raise (Verify_failed (Diag.errors ds)))
-
-let uninstall () = Patch_api.Rewriter.verify_hook := None

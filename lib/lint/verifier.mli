@@ -1,8 +1,9 @@
 (** The patch verifier: check a rewritten image against the manifest its
     rewrite emitted — springboard encodings and boundary targets, §4.3
-    dead-register claims, relocated def/use preservation, trampoline
-    stack balance, and jump-table integrity.  Purely static; the cheap
-    complement to the dynamic rvcheck round trip. *)
+    dead-register claims and jump-table integrity.  Purely static; the
+    cheap complement to the dynamic rvcheck round trip.  Whether the
+    relocated code computes what the original did is proved by the
+    symbolic tier; [Verify_api.Check.verify_rewrite] runs both. *)
 
 (** [verify ~orig cfg ~manifest ~rewritten] — [orig]/[cfg] are the
     original binary's symtab and parse; [rewritten] the rewritten
@@ -13,13 +14,3 @@ val verify :
   manifest:Patch_api.Manifest.t ->
   rewritten:Elfkit.Types.image ->
   Diag.t list
-
-(** Raised by the installed {!Patch_api.Rewriter.verify_hook} when a
-    rewrite produces error-severity findings. *)
-exception Verify_failed of Diag.t list
-
-(** Make every [Rewriter.rewrite] self-verify (raising {!Verify_failed}
-    on errors) / remove the hook again. *)
-val install : unit -> unit
-
-val uninstall : unit -> unit

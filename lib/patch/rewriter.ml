@@ -528,27 +528,9 @@ let apply_to_image (t : t) (pl : plan) : Elfkit.Types.image =
       sections @ [ tramp_section; data_section ] @ trap_section;
   }
 
-(* Post-rewrite verification hook.  [Lint_api.Verifier.install] sets it;
-   keeping it an injectable ref lets the lint layer depend on PatchAPI
-   without a cycle.  The hook raises on error-severity findings. *)
-let verify_hook :
-    (Symtab.t ->
-    Cfg.t ->
-    manifest:Manifest.t ->
-    rewritten:Elfkit.Types.image ->
-    unit)
-    option
-    ref =
-  ref None
-
 let rewrite (t : t) : Elfkit.Types.image =
   let pl = Dyn_util.Stats.span "codegen:plan" (fun () -> plan t) in
   let img = Dyn_util.Stats.span "rewrite:apply" (fun () -> apply_to_image t pl) in
-  (match (!verify_hook, t.last_manifest) with
-  | Some hook, Some m ->
-      Dyn_util.Stats.span "rewrite:verify" (fun () ->
-          hook t.symtab t.cfg ~manifest:m ~rewritten:img)
-  | _ -> ());
   Dyn_util.Stats.incr ~by:t.stats.n_points "rewrite:points";
   Dyn_util.Stats.incr ~by:(List.length t.stats.strategies)
     "rewrite:springboards";

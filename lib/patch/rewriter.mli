@@ -69,25 +69,12 @@ val plan : t -> plan
 (** Apply a plan to the original image: static binary rewriting. *)
 val apply_to_image : t -> plan -> Elfkit.Types.image
 
-(** [plan] + [apply_to_image] in one step; runs {!verify_hook} (if
-    installed) on the result. *)
+(** [plan] + [apply_to_image] in one step. *)
 val rewrite : t -> Elfkit.Types.image
 
 (** The manifest of the last {!plan} (springboards, trampolines, §4.3
     register claims) — [None] until a plan has been generated. *)
 val manifest : t -> Manifest.t option
-
-(** Post-rewrite verification, injected by [Lint_api.Verifier.install];
-    a ref so the lint layer can depend on PatchAPI without a cycle.
-    Expected to raise on error-severity findings. *)
-val verify_hook :
-  (Symtab.t ->
-  Parse_api.Cfg.t ->
-  manifest:Manifest.t ->
-  rewritten:Elfkit.Types.image ->
-  unit)
-  option
-  ref
 
 val stats : t -> stats
 

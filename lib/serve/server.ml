@@ -98,9 +98,7 @@ let metrics_payload t =
 let stats_payload t =
   let stat_hits, stat_misses = Statcache.counts t.stat in
   (* the process-wide superblock-engine counters: profile/trace jobs run
-     mutatees through the block engine, so a nonzero [degraded] here
-     means some run abandoned the fused observability path — it must
-     stay 0 *)
+     mutatees through the block engine *)
   let bb = Rvsim.Bbcache.stats in
   let bi v = J.Int (Int64.of_int v) in
   let bbcache =
@@ -110,7 +108,6 @@ let stats_payload t =
         ("executed", bi bb.Rvsim.Bbcache.st_blocks);
         ("chain_hits", bi bb.Rvsim.Bbcache.st_chain_hits);
         ("retranslated", bi bb.Rvsim.Bbcache.st_retrans);
-        ("degraded", bi bb.Rvsim.Bbcache.st_degraded);
         ("timer_steps", bi bb.Rvsim.Bbcache.st_timer_steps);
         ("singles", bi bb.Rvsim.Bbcache.st_singles);
         ("evicted", bi bb.Rvsim.Bbcache.st_evicted);
@@ -136,8 +133,8 @@ let stats_payload t =
         ("merges", bi (reg_count "parse.merge_ns"));
       ]
   in
-  (* symbolic-verifier site counters (verify jobs, rvlint --symbolic in
-     this process); rows absent until the first verification. *)
+  (* symbolic-verifier site counters from this daemon's verify jobs;
+     zero until the first verification. *)
   let verify =
     J.Obj
       [

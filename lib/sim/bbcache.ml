@@ -59,7 +59,6 @@ type stats = {
   mutable st_translated : int; (* blocks translated *)
   mutable st_blocks : int; (* block executions (fast path) *)
   mutable st_chain_hits : int; (* dispatches resolved through a chain *)
-  mutable st_degraded : int; (* legacy degraded-mode steps; 0 since fusion *)
   mutable st_retrans : int; (* in-place observability-key retranslations *)
   mutable st_timer_steps : int; (* precise steps across a timer deadline *)
   mutable st_singles : int; (* precise steps for budget/uncached pcs *)
@@ -67,8 +66,8 @@ type stats = {
 }
 
 let stats =
-  { st_translated = 0; st_blocks = 0; st_chain_hits = 0; st_degraded = 0;
-    st_retrans = 0; st_timer_steps = 0; st_singles = 0; st_evicted = 0 }
+  { st_translated = 0; st_blocks = 0; st_chain_hits = 0; st_retrans = 0;
+    st_timer_steps = 0; st_singles = 0; st_evicted = 0 }
 
 (* [Machine.flush_counter] is shared history for the whole stack (the
    trace ring, ProcControl patches and tests all flush); resetting our
@@ -79,7 +78,6 @@ let reset_stats () =
   stats.st_translated <- 0;
   stats.st_blocks <- 0;
   stats.st_chain_hits <- 0;
-  stats.st_degraded <- 0;
   stats.st_retrans <- 0;
   stats.st_timer_steps <- 0;
   stats.st_singles <- 0;
@@ -96,7 +94,6 @@ let note_stats () =
   Stats.incr ~by:stats.st_blocks "bbcache block executions";
   Stats.incr ~by:stats.st_chain_hits "bbcache chain hits";
   Stats.incr ~by:(flushes ()) "bbcache icache flushes";
-  Stats.incr ~by:stats.st_degraded "bbcache degraded insns";
   Stats.incr ~by:stats.st_retrans "bbcache obs retranslations";
   Stats.incr ~by:stats.st_timer_steps "bbcache timer-boundary insns";
   Stats.incr ~by:stats.st_singles "bbcache single-stepped insns";
@@ -105,9 +102,9 @@ let note_stats () =
 let pp_stats fmt () =
   Format.fprintf fmt
     "blocks translated %d, executed %d (chain hits %d), flushes %d, evicted %d, \
-     obs retranslations %d, timer-boundary insns %d, degraded insns %d"
+     obs retranslations %d, timer-boundary insns %d"
     stats.st_translated stats.st_blocks stats.st_chain_hits (flushes ())
-    stats.st_evicted stats.st_retrans stats.st_timer_steps stats.st_degraded
+    stats.st_evicted stats.st_retrans stats.st_timer_steps
 
 (* --- translation ---------------------------------------------------------- *)
 

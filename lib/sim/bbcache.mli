@@ -23,9 +23,6 @@ type stats = {
   mutable st_translated : int;  (** blocks translated *)
   mutable st_blocks : int;  (** block executions (fast path) *)
   mutable st_chain_hits : int;  (** dispatches resolved through a chain *)
-  mutable st_degraded : int;
-      (** legacy degraded-mode steps; stays 0 since observability fusion
-          (kept so stat surfaces can assert the fused path holds) *)
   mutable st_retrans : int;
       (** in-place retranslations after a trace/HPM configuration change *)
   mutable st_timer_steps : int;

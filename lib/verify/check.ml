@@ -1,8 +1,8 @@
 (* The manifest driver: symbolically verify every patch site of a
-   rewrite, surface the results as lint diagnostics, a JSON payload for
-   the artifact cache, and — via {!install} — a verification tier that
-   chains after whatever [Rewriter.verify_hook] is already installed
-   (normally the structural verifier). *)
+   rewrite, surface the results as lint diagnostics and a JSON payload
+   for the artifact cache, and — via {!verify_rewrite} — the single
+   rewrite-verification entry point: the structural rules, then the
+   symbolic proof of every relocated block. *)
 
 module Obs = Dyn_obs.Registry
 module Trace = Dyn_obs.Trace
@@ -125,31 +125,12 @@ let to_json (r : report) : J.t =
       ("verdicts", J.List (List.map verdict_json r.r_sites));
     ]
 
-(* --- verify_hook tier ----------------------------------------------------- *)
+(* --- the one rewrite verifier ----------------------------------------------- *)
 
-let saved_hook = ref None
-
-(* Chain after whatever hook is already installed (the structural
-   verifier, when [Lint_api.Verifier.install] ran first): structural
-   findings raise before we spend symbolic budget. *)
-let install () =
-  let prev = !Patch_api.Rewriter.verify_hook in
-  saved_hook := Some prev;
-  Patch_api.Rewriter.verify_hook :=
-    Some
-      (fun orig cfg ~manifest ~rewritten ->
-        (match prev with
-        | Some h -> h orig cfg ~manifest ~rewritten
-        | None -> ());
-        let r = check_manifest ~orig cfg ~manifest ~rewritten in
-        if r.r_failed > 0 then
-          raise
-            (Lint_api.Verifier.Verify_failed
-               (Lint_api.Diag.errors (to_diags r))))
-
-let uninstall () =
-  match !saved_hook with
-  | Some prev ->
-      Patch_api.Rewriter.verify_hook := prev;
-      saved_hook := None
-  | None -> ()
+(* The structural rules own what has no semantic analogue (springboard
+   encodings, trap map, jump tables, declared clobbers); the symbolic
+   tier owns relocation and stack motion. *)
+let verify_rewrite ~orig cfg ~manifest ~rewritten : Lint_api.Diag.t list =
+  Lint_api.Diag.sort
+    (Lint_api.Verifier.verify ~orig cfg ~manifest ~rewritten
+    @ to_diags (check_manifest ~orig cfg ~manifest ~rewritten))

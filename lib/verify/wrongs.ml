@@ -1,14 +1,14 @@
-(* The seeded wrong-rewrite corpus: defect classes that preserve every
-   structural invariant rvlint's verifier checks (springboard encoding
-   and boundaries, relocated def/use sets, trampoline stack balance,
-   scratch deadness) and are therefore provably invisible to it — but
-   change the semantics of the relocated code, so the symbolic tier must
-   disprove equivalence.
+(* The seeded wrong-rewrite corpus: defect classes that keep every
+   invariant the structural rules of the rewrite verifier check
+   (springboard encoding and boundaries, scratch deadness, declared
+   clobbers) and even keep each relocated block's def/use sets and
+   stack motion, so no structural comparison can see them — but change
+   the semantics of the relocated code, so the symbolic tier must
+   disprove equivalence and [Check.verify_rewrite] must report an error.
 
    Each case carries the original binary, its manifest, the healthy
-   rewritten image (must verify structurally AND symbolically) and the
-   defective image (must still verify structurally, must fail
-   symbolically). *)
+   rewritten image (must verify clean) and the defective image (no
+   structural error, must fail symbolically). *)
 
 open Riscv
 open Parse_api

@@ -3,16 +3,17 @@
 #
 #   1. `rvverify smoke`: instrument + rewrite every built-in minicc
 #      mutatee and symbolically prove every patch site; then require
-#      every seeded wrong-rewrite class to pass the structural verifier
-#      but be disproved symbolically
+#      every seeded wrong-rewrite class to pass the structural rules,
+#      be disproved symbolically and fail `Check.verify_rewrite`
 #   2. file-based round trip: rewrite fib on disk with a manifest, then
-#      `rvverify verify` and `rvlint verify --symbolic` must both prove
-#      it (exit 0)
-#   3. exit-code convention: unreadable inputs exit 2 (the rvdump
+#      `rvverify verify` and `rvlint verify` must both prove it (exit 0)
+#   3. disproof exit code: with the manifest's `tramp` value bumped by
+#      4, `rvlint verify` must exit 1 and report both a structural
+#      (springboard-target) and a symbolic (symbolic-inequivalence)
+#      error
+#   4. exit-code convention: unreadable inputs exit 2 (the rvdump
 #      --json convention), for missing files as well as malformed
-#      manifests — regression for the Arg.file 124 leak.  (The
-#      disproof exit path is exercised in-process by step 1's seeded
-#      corpus and by test/test_verify.ml.)
+#      manifests — regression for the Arg.file 124 leak
 #
 # Run via `make verify-smoke` (part of `make check`).
 set -eu
@@ -32,7 +33,7 @@ trap cleanup EXIT INT TERM
 "$B/rvverify.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/m.json" >/dev/null
 "$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
-    --manifest "$DIR/m.json" --symbolic >/dev/null
+    --manifest "$DIR/m.json" >/dev/null
 
 expect_rc() {
     want=$1
@@ -44,6 +45,26 @@ expect_rc() {
         exit 1
     fi
 }
+
+# a tampered trampoline address: both tiers fire, exit 1
+awk '{ if (match($0, /"tramp":[0-9]+/)) {
+         v = substr($0, RSTART + 8, RLENGTH - 8) + 4
+         $0 = substr($0, 1, RSTART - 1) "\"tramp\":" v substr($0, RSTART + RLENGTH)
+       }
+       print }' "$DIR/m.json" >"$DIR/m_tramp4.json"
+rc=0
+"$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
+    --manifest "$DIR/m_tramp4.json" >"$DIR/tramp4.out" 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+    echo "verify-smoke: tampered manifest: expected exit 1, got $rc" >&2
+    exit 1
+fi
+for rule in springboard-target symbolic-inequivalence; do
+    if ! grep -q "error\[$rule\]" "$DIR/tramp4.out"; then
+        echo "verify-smoke: tampered manifest raised no $rule error" >&2
+        exit 1
+    fi
+done
 
 # unreadable inputs exit 2, never cmdliner's 124
 echo 'not json' >"$DIR/bad.json"

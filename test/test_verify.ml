@@ -230,9 +230,10 @@ let test_whole_program_rewrite_proves () =
 
 (* --- seeded wrong-rewrite corpus ------------------------------------------ *)
 
-(* The tier's reason to exist: each case passes the structural verifier
-   (0 errors) yet must be disproved symbolically — and the healthy twin
-   of the same rewrite must prove, so the disproof is the defect's. *)
+(* The tier's reason to exist: each case passes the structural rules
+   (0 errors) yet must be disproved symbolically, and so fail the one
+   rewrite verifier — and the healthy twin of the same rewrite must
+   prove, so the disproof is the defect's. *)
 let test_wrong_case (c : Wrongs.case) () =
   let structural =
     Lint_api.Verifier.verify ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
@@ -253,7 +254,16 @@ let test_wrong_case (c : Wrongs.case) () =
       ~manifest:c.Wrongs.wc_manifest ~rewritten:c.Wrongs.wc_bad
   in
   checkb (c.Wrongs.wc_name ^ ": caught symbolically") true
-    (bad.Check.r_failed > 0)
+    (bad.Check.r_failed > 0);
+  let errors rewritten =
+    Lint_api.Diag.n_errors
+      (Check.verify_rewrite ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
+         ~manifest:c.Wrongs.wc_manifest ~rewritten)
+  in
+  checkb (c.Wrongs.wc_name ^ ": verify_rewrite reports it") true
+    (errors c.Wrongs.wc_bad > 0);
+  checki (c.Wrongs.wc_name ^ ": verify_rewrite passes the twin") 0
+    (errors c.Wrongs.wc_healthy)
 
 let wrongs_cases =
   List.map
