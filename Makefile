@@ -20,18 +20,17 @@
 #                1/2/4/8 oversubscribed domains).  Deterministic and
 #                fast; prints an `rvcheck replay --seed N --index K`
 #                reproducer line on any divergence
-#   lint-smoke   static safety net: lint + instrument + rewrite + verify
-#                every built-in mutatee; fails on any error-severity
-#                diagnostic
+#   lint-smoke   the rewrite verifier's gate: lint + instrument +
+#                rewrite + verify every built-in mutatee (fails on any
+#                error-severity diagnostic or unproved site), then
+#                require every seeded wrong-rewrite class to pass the
+#                structural rules but fail symbolically
 #   serve-smoke  end-to-end rvserved/rvq session over a real socket:
 #                mixed batch, warm batch must be fully cached and
 #                byte-identical, clean shutdown
-#   verify-smoke symbolic tier: prove every built-in mutatee rewrite
-#                equivalent site by site, require every seeded
-#                wrong-rewrite class to pass the structural rules but
-#                fail symbolically, check `rvlint verify` exits 1 on a
-#                tampered manifest, and pin the exit-2 convention for
-#                unreadable inputs
+#   verify-smoke `rvlint verify` on files: prove an on-disk rewrite,
+#                exit 1 on a tampered manifest, and pin the exit-2
+#                convention for unreadable inputs
 #   check        fmt + build + test + fuzz-smoke + lint-smoke +
 #                verify-smoke + serve-smoke + bench-smoke — what CI and
 #                the PR driver run

@@ -781,7 +781,7 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   let diff =
     Check_api.Enginediff.sweep
       ~mutatees:
-        (if smoke then [ "fib"; "calls" ] else Check_api.Roundtrip.builtin_names)
+        (if smoke then [ "fib"; "calls" ] else List.map fst Minicc.Programs.builtins)
       ~seeds:(if smoke then 10 else 25)
       ()
   in

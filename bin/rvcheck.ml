@@ -73,27 +73,26 @@ let run_decoder () =
   end
   else 1
 
-let run_roundtrip mutatees =
-  let names =
-    match mutatees with
-    | [] | [ "all" ] -> Roundtrip.builtin_names
-    | ms -> ms
-  in
-  let bad = List.filter (fun n -> not (List.mem n Roundtrip.builtin_names)) names in
+(* [] or [all] selects every built-in mutatee; an unknown name exits 2. *)
+let resolve_mutatees mutatees =
+  let all = List.map fst Minicc.Programs.builtins in
+  let names = match mutatees with [] | [ "all" ] -> all | ms -> ms in
+  let bad = List.filter (fun n -> not (List.mem n all)) names in
   if bad <> [] then begin
     Printf.eprintf "rvcheck: unknown mutatee(s) %s (expected %s)\n"
-      (String.concat ", " bad)
-      (String.concat ", " Roundtrip.builtin_names);
+      (String.concat ", " bad) (String.concat ", " all);
     exit 2
   end;
+  names
+
+let run_roundtrip mutatees =
+  let names = resolve_mutatees mutatees in
   let results = List.map (fun n -> Roundtrip.check_builtin n) names in
   List.iter (fun r -> pr "%a" Roundtrip.pp_result r) results;
   if List.exists (fun r -> r.Roundtrip.rt_diffs <> []) results then 1 else 0
 
 let run_engine mutatees seeds len verbose =
-  let mutatees =
-    match mutatees with [] | [ "all" ] -> Roundtrip.builtin_names | ms -> ms
-  in
+  let mutatees = resolve_mutatees mutatees in
   let s = Enginediff.sweep ~mutatees ~seeds ~len () in
   if verbose then
     List.iter
@@ -106,18 +105,7 @@ let run_engine mutatees seeds len verbose =
   if s.Enginediff.s_diverged = 0 then 0 else 1
 
 let run_parsediff mutatees seeds verbose =
-  let mutatees =
-    match mutatees with [] | [ "all" ] -> Parsediff.builtin_names | ms -> ms
-  in
-  let bad =
-    List.filter (fun n -> not (List.mem n Parsediff.builtin_names)) mutatees
-  in
-  if bad <> [] then begin
-    Printf.eprintf "rvcheck: unknown mutatee(s) %s (expected %s)\n"
-      (String.concat ", " bad)
-      (String.concat ", " Parsediff.builtin_names);
-    exit 2
-  end;
+  let mutatees = resolve_mutatees mutatees in
   let s = Parsediff.sweep ~mutatees ~seeds () in
   if verbose then
     List.iter

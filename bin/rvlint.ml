@@ -11,13 +11,18 @@
          emitted (rvrewrite --manifest): springboard targets on
          instruction boundaries, §4.3 dead-register claims, jump-table
          integrity, then a symbolic proof that each relocated block is
-         equivalent to the original (Verify_api.Check.verify_rewrite)
+         equivalent to the original (Check.verify_rewrite);
+         exit 1 on any error diagnostic, 2 on unreadable input
      rvlint smoke
          lint + instrument + rewrite + verify every built-in mutatee in
-         memory; non-zero exit on any error diagnostic (`make lint-smoke`) *)
+         memory and require every site to prove, then require every
+         seeded wrong-rewrite class (Verify_api.Wrongs) to pass the
+         structural rules yet fail symbolically and in verify_rewrite;
+         non-zero exit otherwise (`make lint-smoke`) *)
 
 open Cmdliner
 open Lint_api
+open Verify_api
 
 let pr fmt = Format.printf fmt
 
@@ -55,25 +60,20 @@ let run_verify orig_path rw_path manifest_path json =
       Printf.eprintf "rvlint: %s\n" e;
       2
   | Ok (b, m, rw) ->
-      let ds =
-        Verify_api.Check.verify_rewrite ~orig:b.Core.symtab b.Core.cfg
+      let ds, r =
+        Check.verify_rewrite ~orig:b.Core.symtab b.Core.cfg
           ~manifest:m ~rewritten:rw
       in
       emit json ds;
+      if not json then
+        pr "%d site(s): %d proved, %d failed, %d inconclusive@."
+          (List.length r.Check.r_sites) r.Check.r_ok r.Check.r_failed
+          r.Check.r_unknown;
       if Diag.n_errors ds > 0 then 1 else 0
 
 (* The CI profile: every built-in mutatee is linted, instrumented at
    function entries, every block and loop back edge, rewritten with the
    default strategy mix, and verified structurally and symbolically. *)
-let builtins =
-  [
-    ("fib", lazy Minicc.Programs.fib);
-    ("calls", lazy Minicc.Programs.calls);
-    ("switch", lazy Minicc.Programs.switch_demo);
-    ("mixed", lazy Minicc.Programs.mixed);
-    ("matmul", lazy (Minicc.Programs.matmul ~n:8 ~reps:1));
-  ]
-
 let smoke_one name src =
   let compiled = Minicc.Driver.compile src in
   let b = Core.open_image compiled.Minicc.Driver.image in
@@ -100,24 +100,13 @@ let smoke_one name src =
   match Core.manifest m with
   | None ->
       pr "%-8s FAILED: no manifest after rewrite@." name;
-      (1, 0)
+      (1, 0, 0)
   | Some manifest ->
-      let verify_ds =
-        Verify_api.Check.verify_rewrite ~orig:b.Core.symtab b.Core.cfg
-          ~manifest ~rewritten:rw
+      let verify_ds, r =
+        Check.verify_rewrite ~orig:b.Core.symtab b.Core.cfg ~manifest
+          ~rewritten:rw
       in
-      (* a site is proved when the symbolic tier said nothing about it *)
-      let unproved =
-        List.sort_uniq Int64.compare
-          (List.filter_map
-             (fun (d : Diag.t) ->
-               if String.starts_with ~prefix:"symbolic-" d.Diag.d_rule then
-                 Some d.Diag.d_addr
-               else None)
-             verify_ds)
-      in
-      let sites = List.length manifest.Patch_api.Manifest.m_entries in
-      let proved = sites - List.length unproved in
+      let sites = List.length r.Check.r_sites and proved = r.Check.r_ok in
       let le = Diag.n_errors lint_ds and ve = Diag.n_errors verify_ds in
       pr "%-8s lint: %d diagnostic(s), %d error(s); verify: %d diagnostic(s), \
           %d error(s), %d/%d site(s) proved@."
@@ -125,18 +114,44 @@ let smoke_one name src =
       List.iter
         (fun d -> pr "  %a@." Diag.pp d)
         (Diag.errors lint_ds @ Diag.errors verify_ds);
-      ((if le + ve > 0 then 1 else 0), proved)
+      ((if le + ve > 0 || proved < sites then 1 else 0), proved, sites)
+
+(* Each seeded class must slip past the structural rules, be disproved
+   by the symbolic tier and so fail [verify_rewrite], while its healthy
+   twin verifies clean.  Returns whether the class was caught. *)
+let smoke_wrong (c : Wrongs.case) =
+  let open Wrongs in
+  let orig = c.wc_symtab and cfg = c.wc_cfg and manifest = c.wc_manifest in
+  let se =
+    Diag.n_errors (Verifier.verify ~orig cfg ~manifest ~rewritten:c.wc_bad)
+  in
+  let verify rewritten =
+    Check.verify_rewrite ~orig cfg ~manifest ~rewritten
+  in
+  let bad_ds, bad_r = verify c.wc_bad and healthy_ds, _ = verify c.wc_healthy in
+  let disproved = bad_r.Check.r_failed > 0 in
+  let ve = Diag.n_errors bad_ds and he = Diag.n_errors healthy_ds in
+  pr "%-22s structural: %d error(s); symbolic: %s; verify: %d error(s), \
+      healthy twin %d@."
+    c.wc_name se
+    (if disproved then "caught" else "MISSED")
+    ve he;
+  se = 0 && disproved && ve > 0 && he = 0
 
 let run_smoke () =
-  let rc, proved =
+  let rc, proved, sites =
     List.fold_left
-      (fun (rc, proved) (name, src) ->
-        let rc', proved' = smoke_one name (Lazy.force src) in
-        (rc + rc', proved + proved'))
-      (0, 0) builtins
+      (fun (rc, proved, sites) (name, src) ->
+        let rc', proved', sites' = smoke_one name (Lazy.force src) in
+        (rc + rc', proved + proved', sites + sites'))
+      (0, 0, 0) Minicc.Programs.builtins
   in
-  if rc = 0 then begin
-    pr "lint-smoke: ok, %d site(s) proved@." proved;
+  pr "%d/%d site(s) proved@." proved sites;
+  let corpus = Wrongs.corpus () in
+  let caught = List.length (List.filter smoke_wrong corpus) in
+  pr "%d/%d wrong-rewrite classes caught@." caught (List.length corpus);
+  if rc = 0 && caught = List.length corpus then begin
+    pr "lint-smoke: ok@.";
     0
   end
   else 1

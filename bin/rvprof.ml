@@ -11,25 +11,16 @@
 
 open Cmdliner
 
-let builtins =
-  [
-    ("matmul", lazy (Minicc.Programs.matmul ~n:8 ~reps:1));
-    ("fib", lazy Minicc.Programs.fib);
-    ("switch", lazy Minicc.Programs.switch_demo);
-    ("mixed", lazy Minicc.Programs.mixed);
-    ("calls", lazy Minicc.Programs.calls);
-  ]
-
 let load_binary mutatee =
   if Sys.file_exists mutatee then Core.open_file mutatee
   else
-    match List.assoc_opt mutatee builtins with
+    match List.assoc_opt mutatee Minicc.Programs.builtins with
     | Some src ->
         Core.open_image (Minicc.Driver.compile (Lazy.force src)).Minicc.Driver.image
     | None ->
         Printf.eprintf "rvprof: %s is neither a file nor a builtin (%s)\n"
           mutatee
-          (String.concat ", " (List.map fst builtins));
+          (String.concat ", " (List.map fst Minicc.Programs.builtins));
         exit 2
 
 let config_of period cost max_frames events =

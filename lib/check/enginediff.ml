@@ -21,7 +21,7 @@
    fcsr, cycles, instret, the HPM counters, full sparse memory, stdout,
    trace-hook call counts and timer firing cycles.
 
-   Mutatees are the minicc round-trip builtins (real loops, calls,
+   Mutatees are the minicc builtins (real loops, calls,
    matmul FP), seeded straight-line programs built from the lockstep
    fuzzer's adversarial instruction generator — these exercise the
    block-body specializations and the precise-state fault guards
@@ -147,8 +147,8 @@ let diff_outcomes (a : outcome) (b : outcome) : string list =
 (* A compiled minicc builtin, loaded fresh per engine. *)
 let check_builtin ?(max_steps = 20_000_000) name obs : result =
   let src =
-    match List.find_opt (fun (n, _, _) -> n = name) Roundtrip.builtins with
-    | Some (_, _, src) -> Lazy.force src
+    match List.assoc_opt name Minicc.Programs.builtins with
+    | Some src -> Lazy.force src
     | None -> invalid_arg ("Enginediff.check_builtin: unknown mutatee " ^ name)
   in
   let compiled = Minicc.Driver.compile src in

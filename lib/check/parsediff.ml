@@ -44,17 +44,6 @@ type summary = { s_checked : int; s_diverged : int; s_failures : result list }
    wants, even though the production policy avoids it for speed. *)
 let domain_counts = [ 1; 2; 4; 8 ]
 
-let builtin_srcs =
-  [
-    ("fib", lazy Minicc.Programs.fib);
-    ("calls", lazy Minicc.Programs.calls);
-    ("switch", lazy Minicc.Programs.switch_demo);
-    ("mixed", lazy Minicc.Programs.mixed);
-    ("matmul", lazy (Minicc.Programs.matmul ~n:8 ~reps:1));
-  ]
-
-let builtin_names = List.map fst builtin_srcs
-
 let against name st (oracle : Cfg.t) oracle_name ds : result list =
   let funcs = List.length (Cfg.functions oracle) in
   let blocks = Cfg.n_blocks oracle in
@@ -138,7 +127,7 @@ let check_self_consistent name (st : Symtab.t) : result list =
 
 let check_builtin name : result list =
   let src =
-    match List.assoc_opt name builtin_srcs with
+    match List.assoc_opt name Minicc.Programs.builtins with
     | Some src -> Lazy.force src
     | None -> invalid_arg ("Parsediff.check_builtin: unknown mutatee " ^ name)
   in
@@ -188,7 +177,7 @@ let fuzz_symtab ~seed ~len : Symtab.t =
 let check_fuzz ?(len = 96) ~seed () : result list =
   check_self_consistent (Printf.sprintf "fuzz-%Ld" seed) (fuzz_symtab ~seed ~len)
 
-let sweep ?(mutatees = builtin_names) ?(seeds = 10) ?(len = 96)
+let sweep ?(mutatees = List.map fst Minicc.Programs.builtins) ?(seeds = 10) ?(len = 96)
     ?(base_seed = 4000) () : summary =
   let results =
     List.concat_map check_builtin mutatees

@@ -27,16 +27,7 @@ type result = {
    hardware just as much as under rvsim.  For those, stdout is allowed
    to differ and transparency rests on the stop reason and the data
    sections (matmul's C array lives in .data and is compared in full). *)
-let builtins =
-  [
-    ("fib", false, lazy Minicc.Programs.fib);
-    ("calls", false, lazy Minicc.Programs.calls);
-    ("switch", false, lazy Minicc.Programs.switch_demo);
-    ("mixed", false, lazy Minicc.Programs.mixed);
-    ("matmul", true, lazy (Minicc.Programs.matmul ~n:8 ~reps:1));
-  ]
-
-let builtin_names = List.map (fun (n, _, _) -> n) builtins
+let reads_clock name = name = "matmul"
 
 (* Writable allocatable sections of the original image: the state the
    mutatee can legitimately leave behind. *)
@@ -115,9 +106,9 @@ let check ?(max_steps = 20_000_000) ?(reads_clock = false) ~name (src : string)
   }
 
 let check_builtin ?max_steps name =
-  match List.find_opt (fun (n, _, _) -> n = name) builtins with
-  | Some (_, reads_clock, src) ->
-      check ?max_steps ~reads_clock ~name (Lazy.force src)
+  match List.assoc_opt name Minicc.Programs.builtins with
+  | Some src ->
+      check ?max_steps ~reads_clock:(reads_clock name) ~name (Lazy.force src)
   | None -> invalid_arg ("Roundtrip.check_builtin: unknown mutatee " ^ name)
 
 let pp_result fmt (r : result) =

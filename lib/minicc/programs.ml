@@ -142,3 +142,14 @@ int main() {
   return add4(38) % 256;  // 42
 }
 |}
+
+(* The built-in mutatee table the CLIs and checkers accept by name;
+   matmul at a size that keeps simulation and symbolic checking fast. *)
+let builtins =
+  [
+    ("fib", lazy fib);
+    ("calls", lazy calls);
+    ("switch", lazy switch_demo);
+    ("mixed", lazy mixed);
+    ("matmul", lazy (matmul ~n:8 ~reps:1));
+  ]

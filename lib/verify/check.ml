@@ -43,12 +43,14 @@ let check_manifest ?config ~orig:(_ : Symtab.t) (cfg : Parse_api.Cfg.t)
     ~(manifest : Patch_api.Manifest.t) ~(rewritten : Elfkit.Types.image) :
     report =
   let rw_code = fetcher (Symtab.of_image rewritten) in
+  let span_end = Equiv.span_end manifest in
   let sites =
     List.map
       (fun e ->
         let site =
           tspan "verify:symexec" (fun () ->
-              Equiv.check_site ?config ~cfg ~manifest ~rw_code e)
+              Equiv.check_site ?config ~cfg ~manifest ~rw_code
+                ~tramp_hi:(span_end e) e)
         in
         (match site.Equiv.s_verdict with
         | Equiv.Proved -> Obs.incr c_ok
@@ -58,17 +60,16 @@ let check_manifest ?config ~orig:(_ : Symtab.t) (cfg : Parse_api.Cfg.t)
       manifest.Patch_api.Manifest.m_entries
   in
   let count p = List.length (List.filter p sites) in
-  tspan "verify:equiv" (fun () ->
-      {
-        r_sites = sites;
-        r_ok = count (fun s -> s.Equiv.s_verdict = Equiv.Proved);
-        r_failed =
-          count (fun s ->
-              match s.Equiv.s_verdict with Equiv.Failed _ -> true | _ -> false);
-        r_unknown =
-          count (fun s ->
-              match s.Equiv.s_verdict with Equiv.Unknown _ -> true | _ -> false);
-      })
+  {
+    r_sites = sites;
+    r_ok = count (fun s -> s.Equiv.s_verdict = Equiv.Proved);
+    r_failed =
+      count (fun s ->
+          match s.Equiv.s_verdict with Equiv.Failed _ -> true | _ -> false);
+    r_unknown =
+      count (fun s ->
+          match s.Equiv.s_verdict with Equiv.Unknown _ -> true | _ -> false);
+  }
 
 (* --- diagnostics ---------------------------------------------------------- *)
 
@@ -94,7 +95,7 @@ let to_diags (r : report) : Lint_api.Diag.t list =
           ])
     r.r_sites
 
-(* --- JSON payload (rvserved verify jobs, rvverify --json) ---------------- *)
+(* --- JSON payload (rvserved verify jobs) ---------------------------------- *)
 
 let verdict_json (s : Equiv.site) =
   let v, detail =
@@ -129,8 +130,10 @@ let to_json (r : report) : J.t =
 
 (* The structural rules own what has no semantic analogue (springboard
    encodings, trap map, jump tables, declared clobbers); the symbolic
-   tier owns relocation and stack motion. *)
-let verify_rewrite ~orig cfg ~manifest ~rewritten : Lint_api.Diag.t list =
-  Lint_api.Diag.sort
-    (Lint_api.Verifier.verify ~orig cfg ~manifest ~rewritten
-    @ to_diags (check_manifest ~orig cfg ~manifest ~rewritten))
+   tier owns relocation and stack motion.  Returns the sorted
+   diagnostics of both tiers and the symbolic tier's per-site report. *)
+let verify_rewrite ~orig cfg ~manifest ~rewritten :
+    Lint_api.Diag.t list * report =
+  let structural = Lint_api.Verifier.verify ~orig cfg ~manifest ~rewritten in
+  let r = check_manifest ~orig cfg ~manifest ~rewritten in
+  (Lint_api.Diag.sort (structural @ to_diags r), r)

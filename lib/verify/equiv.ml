@@ -35,16 +35,28 @@ type site = {
 let default_config =
   { Symexec.max_steps = 2048; max_paths = 48; private_ranges = [] }
 
-(* The trampoline span owned by [e]: up to the next entry's trampoline
-   (entries share one region, allocated in address order). *)
-let span_end (m : Manifest.t) (e : Manifest.entry) =
+(* The trampoline span owned by an entry: up to the next entry's
+   trampoline (entries share one region, allocated in address order).
+   [span_end m] sorts [m]'s trampoline addresses once; each call of the
+   result is a binary search for the first address above the entry's. *)
+let span_end (m : Manifest.t) : Manifest.entry -> int64 =
   let limit = Int64.add m.Manifest.m_tramp_base (Int64.of_int m.Manifest.m_tramp_size) in
-  List.fold_left
-    (fun acc e' ->
-      let t = e'.Manifest.me_tramp in
-      if Int64.compare t e.Manifest.me_tramp > 0 && Int64.compare t acc < 0 then t
-      else acc)
-    limit m.Manifest.m_entries
+  let ts =
+    Array.of_list (List.map (fun e -> e.Manifest.me_tramp) m.Manifest.m_entries)
+  in
+  Array.sort Int64.compare ts;
+  fun e ->
+    let t = e.Manifest.me_tramp in
+    let rec first_above lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if Int64.compare ts.(mid) t > 0 then first_above lo mid
+        else first_above (mid + 1) hi
+    in
+    let i = first_above 0 (Array.length ts) in
+    if i < Array.length ts && Int64.compare ts.(i) limit < 0 then ts.(i)
+    else limit
 
 let excused_regs (e : Manifest.entry) =
   let base = [ Riscv.Reg.t1 ] in
@@ -208,9 +220,10 @@ let compare_paths ~config ~(m : Manifest.t) ~excused ~rw_code ~tramp_domain
 
 (* --- the site check ------------------------------------------------------- *)
 
+(* [tramp_hi] is the end of [e]'s trampoline span ({!span_end}). *)
 let check_site ?(config = default_config) ~(cfg : Parse_api.Cfg.t)
     ~(manifest : Manifest.t) ~(rw_code : int64 -> Instruction.t option)
-    (e : Manifest.entry) : site =
+    ~tramp_hi (e : Manifest.entry) : site =
   let mk verdict ~po ~pt ~steps =
     {
       s_block = e.Manifest.me_block;
@@ -227,7 +240,6 @@ let check_site ?(config = default_config) ~(cfg : Parse_api.Cfg.t)
   | Some b -> (
       let b_lo = e.Manifest.me_block and b_hi = e.Manifest.me_block_end in
       let tramp_lo = e.Manifest.me_tramp in
-      let tramp_hi = span_end manifest e in
       let orig_insns = Hashtbl.create 16 in
       List.iter
         (fun (i : Instruction.t) ->

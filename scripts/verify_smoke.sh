@@ -1,37 +1,31 @@
 #!/bin/sh
-# verify-smoke: the symbolic tier's CI gate.
+# verify-smoke: the on-disk checks of `rvlint verify`.  The in-memory
+# proof of every built-in mutatee rewrite and the seeded wrong-rewrite
+# corpus run in `rvlint smoke` (`make lint-smoke`), not here.
 #
-#   1. `rvverify smoke`: instrument + rewrite every built-in minicc
-#      mutatee and symbolically prove every patch site; then require
-#      every seeded wrong-rewrite class to pass the structural rules,
-#      be disproved symbolically and fail `Check.verify_rewrite`
-#   2. file-based round trip: rewrite fib on disk with a manifest, then
-#      `rvverify verify` and `rvlint verify` must both prove it (exit 0)
-#   3. disproof exit code: with the manifest's `tramp` value bumped by
+#   1. file-based round trip: rewrite fib on disk with a manifest, then
+#      `rvlint verify` must prove it (exit 0)
+#   2. disproof exit code: with the manifest's `tramp` value bumped by
 #      4, `rvlint verify` must exit 1 and report both a structural
 #      (springboard-target) and a symbolic (symbolic-inequivalence)
 #      error
-#   4. exit-code convention: unreadable inputs exit 2 (the rvdump
+#   3. exit-code convention: unreadable inputs exit 2 (the rvdump
 #      --json convention), for missing files as well as malformed
 #      manifests — regression for the Arg.file 124 leak
 #
 # Run via `make verify-smoke` (part of `make check`).
 set -eu
 
-dune build bin/rvverify.exe bin/rvlint.exe bin/rvrewrite.exe bin/mkmutatee.exe
+dune build bin/rvlint.exe bin/rvrewrite.exe bin/mkmutatee.exe
 B=_build/default/bin
 DIR=$(mktemp -d)
 cleanup() { rm -rf "$DIR"; }
 trap cleanup EXIT INT TERM
 
-"$B/rvverify.exe" smoke
-
-# file-based round trip: both CLIs prove a healthy on-disk rewrite
+# file-based round trip: a healthy on-disk rewrite proves
 "$B/mkmutatee.exe" --builtin fib -o "$DIR/fib.elf" >/dev/null
 "$B/rvrewrite.exe" "$DIR/fib.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/m.json" --entry main >/dev/null
-"$B/rvverify.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
-    --manifest "$DIR/m.json" >/dev/null
 "$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/m.json" >/dev/null
 
@@ -68,12 +62,10 @@ done
 
 # unreadable inputs exit 2, never cmdliner's 124
 echo 'not json' >"$DIR/bad.json"
-expect_rc 2 "$B/rvverify.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
-    --manifest "$DIR/bad.json"
-expect_rc 2 "$B/rvverify.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
-    --manifest "$DIR/no_such.json"
 expect_rc 2 "$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/bad.json"
+expect_rc 2 "$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
+    --manifest "$DIR/no_such.json"
 expect_rc 2 "$B/rvlint.exe" verify "$DIR/no_such.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/m.json"
 expect_rc 2 "$B/rvlint.exe" lint "$DIR/no_such.elf"

@@ -66,7 +66,9 @@ let errors_of ds rule =
 (* the one rewrite verifier, as `rvlint verify` runs it; what
    `rvlint rules` lists must cover every rule it reports *)
 let verify_rewrite st cfg m img =
-  let ds = Verify_api.Check.verify_rewrite ~orig:st cfg ~manifest:m ~rewritten:img in
+  let ds, _ =
+    Verify_api.Check.verify_rewrite ~orig:st cfg ~manifest:m ~rewritten:img
+  in
   List.iter
     (fun d ->
       checkb

@@ -208,14 +208,15 @@ let instrument ?use_dead_regs ?(func = "work") ?(points = `Blocks) () =
 
 let test_healthy_rewrite_proves () =
   let st, cfg, img, m = instrument () in
-  let r = Check.check_manifest ~orig:st cfg ~manifest:m ~rewritten:img in
+  let ds, r = Check.verify_rewrite ~orig:st cfg ~manifest:m ~rewritten:img in
   checkb "instrumented at least two sites" true
     (List.length m.Manifest.m_entries >= 2);
   checki "every site proved"
     (List.length m.Manifest.m_entries)
     r.Check.r_ok;
   checki "no failures" 0 r.Check.r_failed;
-  checki "no timeouts" 0 r.Check.r_unknown
+  checki "no timeouts" 0 r.Check.r_unknown;
+  checki "no error diagnostics" 0 (Lint_api.Diag.n_errors ds)
 
 let test_healthy_spill_rewrite_proves () =
   let st, cfg, img, m = instrument ~use_dead_regs:false () in
@@ -243,27 +244,21 @@ let test_wrong_case (c : Wrongs.case) () =
     (c.Wrongs.wc_name ^ ": invisible to the structural verifier")
     0
     (Lint_api.Diag.n_errors structural);
-  let healthy =
-    Check.check_manifest ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
-      ~manifest:c.Wrongs.wc_manifest ~rewritten:c.Wrongs.wc_healthy
+  let verify rewritten =
+    Check.verify_rewrite ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
+      ~manifest:c.Wrongs.wc_manifest ~rewritten
   in
-  checki (c.Wrongs.wc_name ^ ": healthy twin proves") 0
-    (healthy.Check.r_failed + healthy.Check.r_unknown);
-  let bad =
-    Check.check_manifest ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
-      ~manifest:c.Wrongs.wc_manifest ~rewritten:c.Wrongs.wc_bad
-  in
+  let healthy_ds, healthy = verify c.Wrongs.wc_healthy in
+  checki (c.Wrongs.wc_name ^ ": healthy twin proves every site")
+    (List.length c.Wrongs.wc_manifest.Manifest.m_entries)
+    healthy.Check.r_ok;
+  checki (c.Wrongs.wc_name ^ ": verify_rewrite passes the twin") 0
+    (Lint_api.Diag.n_errors healthy_ds);
+  let bad_ds, bad = verify c.Wrongs.wc_bad in
   checkb (c.Wrongs.wc_name ^ ": caught symbolically") true
     (bad.Check.r_failed > 0);
-  let errors rewritten =
-    Lint_api.Diag.n_errors
-      (Check.verify_rewrite ~orig:c.Wrongs.wc_symtab c.Wrongs.wc_cfg
-         ~manifest:c.Wrongs.wc_manifest ~rewritten)
-  in
   checkb (c.Wrongs.wc_name ^ ": verify_rewrite reports it") true
-    (errors c.Wrongs.wc_bad > 0);
-  checki (c.Wrongs.wc_name ^ ": verify_rewrite passes the twin") 0
-    (errors c.Wrongs.wc_healthy)
+    (Lint_api.Diag.n_errors bad_ds > 0)
 
 let wrongs_cases =
   List.map
