@@ -9,8 +9,11 @@
 #                the sim section fails on trace-off/trace-on speedup
 #                bars or an engine-differential divergence; the parse
 #                section fails below a 1.5x largest-corpus speedup over
-#                the sequential reference parser or on any CFG difference
-
+#                the sequential reference parser or on any CFG difference;
+#                the rewrite-scaling section fails when liveness,
+#                Rewriter.plan or Verifier.verify time grows more than
+#                1.5x the block ratio between 80- and 320-function
+#                corpora (best of 5, re-measured once before failing)
 #   fuzz-smoke   fixed-seed differential fuzz: rvsim vs the Sail IR in
 #                lockstep, the exhaustive RVC decoder sweep, the rewrite
 #                round-trip on two mutatees, the superblock-engine vs
@@ -37,7 +40,8 @@
 #   bench        regenerate the evaluation tables, BENCH_trace.json,
 #                BENCH_prof.json, BENCH_sim.json, BENCH_parse.json and
 #                BENCH_served.json.  The parse section gates hard on a
-#                2.5x largest-corpus speedup and zero CFG differences
+#                2.5x largest-corpus speedup and zero CFG differences;
+#                the rewrite-scaling gate runs as in bench-smoke
 
 .PHONY: all build test fmt check bench bench-smoke fuzz-smoke lint-smoke \
 	verify-smoke serve-smoke clean

@@ -555,6 +555,115 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
       bar
 
 (* ------------------------------------------------------------------ *)
+(* static rewrite scaling                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Host time of the three per-site layers of a static rewrite, on two
+   seeded corpora 4x apart whose [main] calls every function (so [main]
+   is one long chain of call blocks): liveness over every function,
+   [Rewriter.plan] with a counter at every block, and the structural
+   [Verifier.verify] of the result.  Best of 5 each in process CPU time
+   (time the host gives to other tenants does not count), setup untimed,
+   the two sizes interleaved so that both see the same host noise.  A hard
+   gate: each time ratio must stay within 1.5x the block ratio, so a
+   superlinear term in any layer fails the bench (and `make bench-smoke`
+   / `make check` with it). *)
+let rewrite_scaling () =
+  print_endline "\n== Static rewrite scaling: liveness, plan, verify ==";
+  let module Rw = Patch_api.Rewriter in
+  let slack = 1.5 and repeats = 5 in
+  let timed setup run =
+    let x = setup () in
+    (* start each timed run from the same collected heap *)
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    ignore (Sys.opaque_identity (run x));
+    Sys.time () -. t0
+  in
+  (* one size: its block count and one run of each layer *)
+  let corpus n_funcs =
+    let st = Symtab.of_image (Check_api.Corpus.image ~seed:1L ~index:0 ~n_funcs) in
+    let cfg = Parse_api.Parser.parse ~domains:1 st in
+    let funcs = Parse_api.Cfg.functions cfg in
+    let session () =
+      let rw = Rw.create st cfg in
+      let c = Rw.allocate_var rw "c" 8 in
+      List.iter
+        (fun f ->
+          List.iter
+            (fun p -> Rw.insert rw p [ Codegen_api.Snippet.incr c ])
+            (Patch_api.Point.block_entries cfg f))
+        funcs;
+      rw
+    in
+    let run_layers () =
+      [
+        timed ignore (fun () -> List.map (Dataflow_api.Liveness.analyze cfg) funcs);
+        timed session Rw.plan;
+        timed
+          (fun () ->
+            let rw = session () in
+            let img = Rw.apply_to_image rw (Rw.plan rw) in
+            (Option.get (Rw.manifest rw), img))
+          (fun (manifest, rewritten) ->
+            Lint_api.Verifier.verify ~orig:st cfg ~manifest ~rewritten);
+      ]
+    in
+    (n_funcs, Parse_api.Cfg.n_blocks cfg, run_layers)
+  in
+  let sizes = [| corpus 80; corpus 320 |] in
+  let blocks i = match sizes.(i) with _, b, _ -> float_of_int b in
+  let block_ratio = blocks 1 /. blocks 0 in
+  let bound = slack *. block_ratio in
+  let layers = [| "liveness"; "plan"; "verify" |] in
+  (* best-of-[repeats] per size and layer; the 320/80 time ratios *)
+  let measure () =
+    let best = Array.make_matrix 2 3 infinity in
+    for _ = 1 to repeats do
+      Array.iteri
+        (fun i (_, _, run_layers) ->
+          List.iteri
+            (fun j t -> best.(i).(j) <- Float.min best.(i).(j) t)
+            (run_layers ()))
+        sizes
+    done;
+    Array.iteri
+      (fun i (n_funcs, blocks, _) ->
+        Printf.printf
+          "   %4d funcs %5d blocks | liveness %7.2f ms | plan %7.2f ms | \
+           verify %7.2f ms\n"
+          n_funcs blocks (best.(i).(0) *. 1e3) (best.(i).(1) *. 1e3)
+          (best.(i).(2) *. 1e3))
+      sizes;
+    let ratios = Array.map2 ( /. ) best.(1) best.(0) in
+    Printf.printf
+      "   ratio 320/80: blocks %.2fx | liveness %.2fx | plan %.2fx | verify \
+       %.2fx (bound %.2fx)\n"
+      block_ratio ratios.(0) ratios.(1) ratios.(2) bound;
+    ratios
+  in
+  let over ratios = Array.exists (fun r -> r > bound) ratios in
+  let ratios =
+    let first = measure () in
+    if not (over first) then first
+    else begin
+      (* a quadratic layer fails twice; a noisy window on a shared host
+         rarely does *)
+      print_endline "   over the bound: measuring once more";
+      measure ()
+    end
+  in
+  Array.iteri
+    (fun j r ->
+      if r > bound then
+        Printf.ksprintf failwith
+          "rewrite-scaling gate: %s grew %.2fx for %.2fx the blocks (bound \
+           %.2fx)"
+          layers.(j) r block_ratio bound)
+    ratios;
+  print_endline "   linear in the block count: ok"
+
+(* ------------------------------------------------------------------ *)
 (* Figures 1 & 2 are architecture diagrams: exercised behaviourally      *)
 (* ------------------------------------------------------------------ *)
 
@@ -834,6 +943,7 @@ let () =
     lockstep_throughput ~count:4_000 ();
     sim_throughput ~smoke:true ~json:"BENCH_sim.smoke.json" ();
     parse_bench ~smoke:true ~json:"BENCH_parse.smoke.json" ();
+    rewrite_scaling ();
     Served.bench ~smoke:true ~json:"BENCH_served.smoke.json" ();
     print_endline "\nbench: smoke done"
   end
@@ -855,6 +965,7 @@ let () =
     ablation_cisc_flags ();
     ablation_jump_strategies ();
     parse_bench ();
+    rewrite_scaling ();
     figure_flows ();
     figure_components ();
     lockstep_throughput ();

@@ -59,74 +59,114 @@ type t = {
   live_out : (int64, Regset.t) Hashtbl.t;
 }
 
-(* live-out contribution of [b]'s outgoing edges *)
-let edge_live_out analysis (b : Cfg.block) =
-  List.fold_left
-    (fun acc e ->
-      match (e.Cfg.ek, e.Cfg.e_dst) with
-      | (Cfg.E_fallthrough | Cfg.E_taken | Cfg.E_not_taken | Cfg.E_jump
-        | Cfg.E_jump_table | Cfg.E_indirect | Cfg.E_call_ft), Cfg.T_addr a ->
-          let li =
-            match Hashtbl.find_opt analysis.live_in a with
-            | Some s -> s
-            | None -> Regset.empty
-          in
-          Regset.union acc li
-      | Cfg.E_return, _ -> Regset.union acc live_at_return
-      | Cfg.E_tail_call, _ ->
-          (* like a call followed immediately by our return *)
-          Regset.union acc (Regset.union arg_regs callee_saved)
-      | Cfg.E_call, _ -> acc (* handled by the call-ft edge + summaries *)
-      | (Cfg.E_indirect | Cfg.E_jump | Cfg.E_jump_table), Cfg.T_unknown ->
-          Regset.full (* unresolved: everything may be used *)
-      | (Cfg.E_fallthrough | Cfg.E_taken | Cfg.E_not_taken | Cfg.E_call_ft),
-        Cfg.T_unknown ->
-          acc)
-    Regset.empty b.Cfg.b_out
-
-(* blocks with no out-edges fell into undecodable bytes: conservative *)
-let block_live_out analysis b =
-  if b.Cfg.b_out = [] then Regset.full else edge_live_out analysis b
-
-let transfer_block b live_out =
+(* The transfer of a whole block, [live_in = (live_out - def) ∪ use],
+   summarized once: [def] is every register some instruction writes,
+   [use] every register read before the block writes it.  Exact for
+   this gen/kill form — composing two such transfers yields another.
+   The call summary applies to the terminator only. *)
+let block_summary (b : Cfg.block) =
   let is_call = block_is_call_site b in
-  let rec go insns live =
-    match insns with
-    | [] -> live
+  let rec go = function
+    | [] -> (Regset.empty, Regset.empty)
     | ins :: rest ->
-        let live_after_rest = go rest live in
-        (* only the terminator is the call itself *)
-        let is_call_insn = is_call && rest = [] in
-        step_insn ins ~is_call:is_call_insn live_after_rest
+        let def_rest, use_rest = go rest in
+        let defs, uses = insn_defs_uses ins ~is_call:(is_call && rest = []) in
+        (Regset.union defs def_rest, Regset.union uses (Regset.diff use_rest defs))
   in
-  go b.Cfg.b_insns live_out
+  go b.Cfg.b_insns
+
+(* The part of [b]'s live-out that no successor's live-in contributes:
+   returns, tail calls and unresolved transfers (ABI summaries), and the
+   conservative full set for a block with no out-edges (it fell into
+   undecodable bytes). *)
+let fixed_live_out (b : Cfg.block) =
+  if b.Cfg.b_out = [] then Regset.full
+  else
+    List.fold_left
+      (fun acc e ->
+        match (e.Cfg.ek, e.Cfg.e_dst) with
+        | Cfg.E_return, _ -> Regset.union acc live_at_return
+        | Cfg.E_tail_call, _ ->
+            (* like a call followed immediately by our return *)
+            Regset.union acc (Regset.union arg_regs callee_saved)
+        | (Cfg.E_indirect | Cfg.E_jump | Cfg.E_jump_table), Cfg.T_unknown ->
+            Regset.full (* unresolved: everything may be used *)
+        | _ -> acc (* successors' live-in, or nothing (calls, unknown fallthroughs) *))
+      Regset.empty b.Cfg.b_out
+
+(* Block indices in postorder of the intra-procedural successor graph
+   from the entry block (when the function has one), then the blocks the
+   walk does not reach, in descending address order.  A backward problem
+   swept in this order sees most successors settled before their
+   predecessors, so the number of sweeps is bounded by loop nesting, not
+   by the length of a chain of blocks. *)
+let sweep_order n (succs : int list array) entry =
+  let visited = Array.make n false in
+  let order = ref [] in
+  (* iterative DFS: (block, successors still to visit) *)
+  let rec walk = function
+    | [] -> ()
+    | (k, []) :: stack ->
+        order := k :: !order;
+        walk stack
+    | (k, s :: rest) :: stack ->
+        if visited.(s) then walk ((k, rest) :: stack)
+        else begin
+          visited.(s) <- true;
+          walk ((s, succs.(s)) :: (k, rest) :: stack)
+        end
+  in
+  Option.iter
+    (fun k ->
+      visited.(k) <- true;
+      walk [ (k, succs.(k)) ])
+    entry;
+  let postorder = List.rev !order in
+  let unreached = ref [] in
+  for k = 0 to n - 1 do
+    if not visited.(k) then unreached := k :: !unreached
+  done;
+  Array.of_list (postorder @ !unreached)
 
 let analyze (cfg : Cfg.t) (func : Cfg.func) : t =
-  let analysis =
-    { func; cfg; live_in = Hashtbl.create 16; live_out = Hashtbl.create 16 }
+  let blocks = Array.of_list (Cfg.blocks_of cfg func) in
+  let n = Array.length blocks in
+  let index = Hashtbl.create n in
+  Array.iteri (fun k (b : Cfg.block) -> Hashtbl.replace index b.Cfg.b_start k) blocks;
+  (* successors outside the function contribute nothing *)
+  let succs =
+    Array.map
+      (fun b -> List.filter_map (Hashtbl.find_opt index) (Cfg.intra_succs b))
+      blocks
   in
-  let blocks = Cfg.blocks_of cfg func in
-  List.iter
-    (fun (b : Cfg.block) ->
-      Hashtbl.replace analysis.live_in b.Cfg.b_start Regset.empty;
-      Hashtbl.replace analysis.live_out b.Cfg.b_start Regset.empty)
-    blocks;
+  let summaries = Array.map block_summary blocks in
+  let fixed = Array.map fixed_live_out blocks in
+  let live_in = Array.make n Regset.empty in
+  let live_out = Array.make n Regset.empty in
+  let order = sweep_order n succs (Hashtbl.find_opt index func.Cfg.f_entry) in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (b : Cfg.block) ->
-        let lo = block_live_out analysis b in
-        let li = transfer_block b lo in
-        let old_li = Hashtbl.find analysis.live_in b.Cfg.b_start in
-        Hashtbl.replace analysis.live_out b.Cfg.b_start lo;
-        if not (Regset.equal li old_li) then begin
-          Hashtbl.replace analysis.live_in b.Cfg.b_start li;
+    Array.iter
+      (fun k ->
+        let lo =
+          List.fold_left (fun acc s -> Regset.union acc live_in.(s)) fixed.(k) succs.(k)
+        in
+        let def, use = summaries.(k) in
+        let li = Regset.union (Regset.diff lo def) use in
+        live_out.(k) <- lo;
+        if not (Regset.equal li live_in.(k)) then begin
+          live_in.(k) <- li;
           changed := true
         end)
-      blocks
+      order
   done;
-  analysis
+  let table sets =
+    let h = Hashtbl.create n in
+    Array.iteri (fun k (b : Cfg.block) -> Hashtbl.replace h b.Cfg.b_start sets.(k)) blocks;
+    h
+  in
+  { func; cfg; live_in = table live_in; live_out = table live_out }
 
 let live_in analysis (baddr : int64) =
   Option.value (Hashtbl.find_opt analysis.live_in baddr) ~default:Regset.full

@@ -25,28 +25,43 @@ module M = Patch_api.Manifest
 let err ~rule ?func ~addr fmt = Diag.make ~rule ~severity:Diag.Error ?func ~addr fmt
 let warn ~rule ?func ~addr fmt = Diag.make ~rule ~severity:Diag.Warning ?func ~addr fmt
 
-(* decode the trampoline region linearly; alignment padding (zero bytes)
-   does not decode and is skipped a halfword at a time *)
-let decode_tramp (rw : Symtab.t) (m : M.t) :
-    (int64, Instruction.t) Hashtbl.t option =
+(* Instruction boundaries of the trampoline region, found by decoding it
+   linearly: one byte per halfword offset from the manifest base, set
+   where an instruction starts.  Alignment padding (zero bytes) does not
+   decode and is skipped a halfword at a time.  The rules only ask
+   whether an address is a boundary, so only decoded lengths are kept. *)
+type boundaries = { bd_base : int64; bd_marks : Bytes.t }
+
+let is_boundary bd addr =
+  let off = Int64.sub addr bd.bd_base in
+  Int64.compare off 0L >= 0
+  && Int64.rem off 2L = 0L
+  && Int64.compare off (Int64.of_int (2 * Bytes.length bd.bd_marks)) < 0
+  && Bytes.get bd.bd_marks (Int64.to_int off / 2) <> '\000'
+
+let no_boundaries = { bd_base = 0L; bd_marks = Bytes.empty }
+
+let decode_tramp (rw : Symtab.t) (m : M.t) : boundaries option =
   match Symtab.region_at rw m.M.m_tramp_base with
   | None -> None
   | Some r ->
-      let insns = Hashtbl.create 128 in
-      let tend = Int64.add m.M.m_tramp_base (Int64.of_int m.M.m_tramp_size) in
-      let rec go addr =
-        if Int64.compare addr tend < 0 then
-          let pos = Int64.to_int (Int64.sub addr r.Symtab.rg_addr) in
-          match
-            Instruction.decode ~base:r.Symtab.rg_addr r.Symtab.rg_data ~pos
-          with
-          | Some ins ->
-              Hashtbl.replace insns addr ins;
-              go (Instruction.next_addr ins)
-          | None -> go (Int64.add addr 2L)
+      let data = r.Symtab.rg_data in
+      let first = Int64.to_int (Int64.sub m.M.m_tramp_base r.Symtab.rg_addr) in
+      (* nothing decodes past the region's bytes *)
+      let last =
+        first + max 0 (min m.M.m_tramp_size (Bytes.length data - first))
       in
-      go m.M.m_tramp_base;
-      Some insns
+      let marks = Bytes.make ((last - first + 1) / 2) '\000' in
+      let rec go pos =
+        if pos < last then
+          match Decode.decode ~pos data with
+          | Some insn ->
+              Bytes.set marks ((pos - first) / 2) '\001';
+              go (pos + insn.Insn.len)
+          | None -> go (pos + 2)
+      in
+      go first;
+      Some { bd_base = m.M.m_tramp_base; bd_marks = marks }
 
 let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
     ~(rewritten : Elfkit.Types.image) : Diag.t list =
@@ -73,7 +88,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
     | None ->
         add (err ~rule:"manifest-mismatch" ~addr:m.M.m_tramp_base
                "no trampoline region at manifest base 0x%Lx" m.M.m_tramp_base);
-        Hashtbl.create 1
+        no_boundaries
   in
   (match Symtab.region_at rw m.M.m_data_base with
   | Some r when r.Symtab.rg_size >= m.M.m_data_size -> ()
@@ -82,6 +97,8 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
              "patch data area (%d bytes at 0x%Lx) missing from the rewritten \
               image"
              m.M.m_data_size m.M.m_data_base));
+  let trap_map = Hashtbl.create 16 in
+  List.iter (fun od -> Hashtbl.replace trap_map od ()) m.M.m_traps;
   (* --- per-entry checks -------------------------------------------------- *)
   List.iter
     (fun (e : M.entry) ->
@@ -106,7 +123,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
               fail_rule "springboard-target"
                 "springboard targets 0x%Lx; manifest trampoline is 0x%Lx" tgt
                 e.M.me_tramp
-            else if not (Hashtbl.mem tramp_insns tgt) then
+            else if not (is_boundary tramp_insns tgt) then
               fail_rule "springboard-target"
                 "springboard target 0x%Lx is not on a trampoline instruction \
                  boundary"
@@ -143,13 +160,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                   fail_rule "springboard-target"
                     "auipc at 0x%Lx is not followed by a matching jalr" at)
           | "trap", Some ins when Instruction.op ins = Op.EBREAK ->
-              if
-                not
-                  (List.exists
-                     (fun (o, d) ->
-                       Int64.equal o at && Int64.equal d e.M.me_tramp)
-                     m.M.m_traps)
-              then
+              if not (Hashtbl.mem trap_map (at, e.M.me_tramp)) then
                 fail_rule "trap-unmapped"
                   "trap springboard at 0x%Lx has no trap-map entry to 0x%Lx"
                   at e.M.me_tramp
@@ -180,7 +191,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                      at e.M.me_sb_len)
           | _ -> ());
           (* 2. the relocated block is in the trampoline *)
-          if not (Hashtbl.mem tramp_insns e.M.me_tramp) then
+          if not (is_boundary tramp_insns e.M.me_tramp) then
             fail_rule "manifest-mismatch"
               "no trampoline instructions at 0x%Lx for block 0x%Lx"
               e.M.me_tramp at;
@@ -227,15 +238,37 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                 e.M.me_insertions))
     m.M.m_entries;
   (* --- jump tables in the rewritten image -------------------------------- *)
-  let patched_entry a =
-    List.find_opt (fun (e : M.entry) -> Int64.equal e.M.me_block a) m.M.m_entries
-  in
+  let by_start = Hashtbl.create 64 in
+  List.iter
+    (fun (e : M.entry) -> Hashtbl.replace by_start e.M.me_block ())
+    m.M.m_entries;
+  (* a patched block strictly containing [a]: binary search for the last
+     entry starting below [a], then walk down while the running maximum
+     of block ends still reaches past [a] (one step when the blocks are
+     disjoint, as the rewriter emits them) *)
+  let sorted = Array.of_list m.M.m_entries in
+  Array.stable_sort
+    (fun (x : M.entry) (y : M.entry) -> Int64.compare x.M.me_block y.M.me_block)
+    sorted;
+  let max_end = Array.map (fun (e : M.entry) -> e.M.me_block_end) sorted in
+  for k = 1 to Array.length max_end - 1 do
+    if Int64.compare max_end.(k - 1) max_end.(k) > 0 then
+      max_end.(k) <- max_end.(k - 1)
+  done;
   let inside_patched a =
-    List.find_opt
-      (fun (e : M.entry) ->
-        Int64.compare a e.M.me_block > 0
-        && Int64.compare a e.M.me_block_end < 0)
-      m.M.m_entries
+    let rec search lo hi =
+      if lo >= hi then lo - 1
+      else
+        let mid = (lo + hi) / 2 in
+        if Int64.compare sorted.(mid).M.me_block a < 0 then search (mid + 1) hi
+        else search lo mid
+    in
+    let rec walk k =
+      if k < 0 || Int64.compare max_end.(k) a <= 0 then None
+      else if Int64.compare a sorted.(k).M.me_block_end < 0 then Some sorted.(k)
+      else walk (k - 1)
+    in
+    walk (search 0 (Array.length sorted))
   in
   let is_insn_boundary a =
     match Cfg.block_containing cfg a with
@@ -291,14 +324,14 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                      "jump-table slot 0x%Lx unreadable in the rewritten image"
                      slot)
           | Some tgt -> (
-              match (patched_entry tgt, inside_patched tgt) with
-              | Some _, _ -> () (* lands on a springboard: fine *)
-              | None, Some e ->
+              match (Hashtbl.mem by_start tgt, inside_patched tgt) with
+              | true, _ -> () (* lands on a springboard: fine *)
+              | false, Some e ->
                   add (err ~rule:"dangling-jump-table" ?func ~addr:bstart
                          "jump-table entry %d -> 0x%Lx lands inside patched \
                           block 0x%Lx"
                          k tgt e.M.me_block)
-              | None, None ->
+              | false, None ->
                   if not (is_insn_boundary tgt) then
                     add (err ~rule:"dangling-jump-table" ?func ~addr:bstart
                            "jump-table entry %d -> 0x%Lx is not an \

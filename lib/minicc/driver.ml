@@ -88,7 +88,7 @@ let compile (source : string) : compiled =
       in
       List.iteri
         (fun k tgt ->
-          match List.assoc_opt tgt asm.Asm.labels with
+          match Hashtbl.find_opt asm.Asm.labels tgt with
           | Some addr -> Bytes.set_int64_le rodata (base + (8 * k)) addr
           | None -> raise (Link_error ("jump-table target " ^ tgt ^ " undefined")))
         targets)
@@ -99,7 +99,7 @@ let compile (source : string) : compiled =
       (fun (f : Cast.func) ->
         Option.map
           (fun a -> (f.Cast.fn_name, a))
-          (List.assoc_opt f.Cast.fn_name asm.Asm.labels))
+          (Hashtbl.find_opt asm.Asm.labels f.Cast.fn_name))
       prog.Cast.funcs
   in
   let runtime_syms =
@@ -107,7 +107,7 @@ let compile (source : string) : compiled =
       (fun name ->
         Option.map
           (fun a -> Elfkit.Types.symbol name a ~sym_section:".text")
-          (List.assoc_opt name asm.Asm.labels))
+          (Hashtbl.find_opt asm.Asm.labels name))
       [ "_start"; "__clock_ns"; "__print_int"; "__print_char" ]
   in
   let elf_symbols =

@@ -284,37 +284,31 @@ let springboard t (b : Cfg.block) (tramp_addr : int64) ~(dead : Reg.t list) :
 
 (* --- the rewrite ------------------------------------------------------------- *)
 
-let liveness_cache () = Hashtbl.create 8
+(* Liveness of [b]'s function, analyzed once per plan and memoized in
+   [cache] (keyed by function entry). *)
+let liveness_of t cache (b : Cfg.block) =
+  match Cfg.func_at t.cfg b.Cfg.b_func with
+  | None -> None
+  | Some f -> (
+      match Hashtbl.find_opt cache f.Cfg.f_entry with
+      | Some lv -> Some lv
+      | None ->
+          let lv =
+            Dyn_util.Stats.span "analyze:liveness" (fun () ->
+                Liveness.analyze t.cfg f)
+          in
+          Hashtbl.replace cache f.Cfg.f_entry lv;
+          Some lv)
 
 let dead_at_point t cache (b : Cfg.block) (addr : int64) : Reg.t list =
-  match Cfg.func_at t.cfg b.Cfg.b_func with
+  match liveness_of t cache b with
   | None -> []
-  | Some f ->
-      let lv =
-        match Hashtbl.find_opt cache f.Cfg.f_entry with
-        | Some lv -> lv
-        | None ->
-            let lv =
-              Dyn_util.Stats.span "analyze:liveness" (fun () ->
-                  Liveness.analyze t.cfg f)
-            in
-            Hashtbl.replace cache f.Cfg.f_entry lv;
-            lv
-      in
-      Liveness.dead_int_regs_before lv b addr
+  | Some lv -> Liveness.dead_int_regs_before lv b addr
 
 let dead_on_edge t cache (b : Cfg.block) ~(target : int64) : Reg.t list =
-  match Cfg.func_at t.cfg b.Cfg.b_func with
+  match liveness_of t cache b with
   | None -> []
-  | Some f ->
-      let lv =
-        match Hashtbl.find_opt cache f.Cfg.f_entry with
-        | Some lv -> lv
-        | None ->
-            let lv = Liveness.analyze t.cfg f in
-            Hashtbl.replace cache f.Cfg.f_entry lv;
-            lv
-      in
+  | Some lv ->
       let live = Liveness.live_in lv target in
       List.filter
         (fun r ->
@@ -339,8 +333,8 @@ type plan = {
 }
 
 let plan (t : t) : plan =
-  let cache = liveness_cache () in
-  (* 1. build all trampolines *)
+  let cache = Hashtbl.create 8 in
+  (* 1. build all trampolines, one item list per block *)
   let items = ref [] in
   let blocks =
     Hashtbl.fold (fun baddr reqs acc -> (baddr, reqs) :: acc) t.requests []
@@ -398,13 +392,14 @@ let plan (t : t) : plan =
       in
       Hashtbl.replace block_insertions baddr (List.rev !minfo);
       items :=
-        !items
-        @ Trampoline.build ~entry_label:(tramp_label b) b ~insertions
-            ~edge_insertions
+        (Trampoline.build ~entry_label:(tramp_label b) b ~insertions
+           ~edge_insertions
         @ [ Asm.Align 4 ])
+        :: !items)
     blocks;
   let asm =
-    Asm.assemble ~base:t.tramp_base ~symbols:Trampoline.abs_symbols !items
+    Asm.assemble ~base:t.tramp_base ~symbols:Trampoline.abs_symbols
+      (List.concat (List.rev !items))
   in
   (* 2. springboards *)
   let traps = ref [] in

@@ -37,7 +37,7 @@ let pcrel_hi_lo off =
 
 type result = {
   code : Bytes.t;
-  labels : (string * int64) list; (* label -> absolute address *)
+  labels : (string, int64) Hashtbl.t; (* label -> absolute address *)
 }
 
 (* Assemble [items] for load address [base].  [symbols] provides external
@@ -198,13 +198,9 @@ let assemble ?(base = 0L) ?(symbols = fun (_ : string) -> (None : int64 option))
     in
     assert (emitted = Int64.of_int sizes.(k))
   done;
-  let labels =
-    Hashtbl.fold (fun l a acc -> (l, a) :: acc) h []
-    |> List.sort (fun (_, a) (_, b) -> Int64.compare a b)
-  in
-  { code = Buffer.to_bytes buf; labels }
+  { code = Buffer.to_bytes buf; labels = h }
 
 let label_addr result l =
-  match List.assoc_opt l result.labels with
+  match Hashtbl.find_opt result.labels l with
   | Some a -> a
   | None -> raise (Undefined_label l)

@@ -31,7 +31,7 @@ val pcrel_hi_lo : int64 -> int * int
 
 type result = {
   code : Bytes.t;
-  labels : (string * int64) list;  (** label -> absolute address *)
+  labels : (string, int64) Hashtbl.t;  (** label -> absolute address *)
 }
 
 (** Assemble [items] for load address [base].  [symbols] resolves labels

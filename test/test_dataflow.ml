@@ -172,6 +172,166 @@ let test_dead_regs_unresolved_indirect () =
     "no dead registers before the unresolved jr" []
     (Liveness.dead_int_regs_before lv b jr_addr)
 
+(* --- liveness differential ------------------------------------------------- *)
+
+(* The reference solver: the textbook round-robin that sweeps the blocks
+   in ascending address order, stepping every instruction, until nothing
+   changes.  Quadratic on a chain of call blocks, but obviously right;
+   the production solver (per-block summaries, postorder sweeps) must
+   reach the same least fixpoint. *)
+module Ref_liveness = struct
+  let is_call_site (b : Cfg.block) =
+    List.exists
+      (fun e -> e.Cfg.ek = Cfg.E_call || e.Cfg.ek = Cfg.E_tail_call)
+      b.Cfg.b_out
+
+  let step (ins : Instruction.t) ~is_call live_after =
+    let defs = Regset.of_list (Instruction.regs_written ins) in
+    let uses = Regset.of_list (Instruction.regs_read ins) in
+    let defs, uses =
+      if is_call then
+        ( Regset.union defs (Regset.diff Liveness.caller_saved Liveness.arg_regs),
+          Regset.union uses Liveness.arg_regs )
+      else (defs, uses)
+    in
+    Regset.union (Regset.diff live_after defs) uses
+
+  (* live before the instruction at [addr] (the block entry for its
+     first instruction), given the block's live-out *)
+  let live_before (b : Cfg.block) live_out addr =
+    let is_call = is_call_site b in
+    let rec go = function
+      | [] -> live_out
+      | (ins : Instruction.t) :: rest ->
+          let after = go rest in
+          if Int64.compare ins.Instruction.addr addr < 0 then after
+          else step ins ~is_call:(is_call && rest = []) after
+    in
+    go b.Cfg.b_insns
+
+  let live_out live_in (b : Cfg.block) =
+    if b.Cfg.b_out = [] then Regset.full
+    else
+      List.fold_left
+        (fun acc e ->
+          match (e.Cfg.ek, e.Cfg.e_dst) with
+          | ( ( Cfg.E_fallthrough | Cfg.E_taken | Cfg.E_not_taken | Cfg.E_jump
+              | Cfg.E_jump_table | Cfg.E_indirect | Cfg.E_call_ft ),
+              Cfg.T_addr a ) ->
+              Regset.union acc
+                (Option.value (Hashtbl.find_opt live_in a) ~default:Regset.empty)
+          | Cfg.E_return, _ -> Regset.union acc Liveness.live_at_return
+          | Cfg.E_tail_call, _ ->
+              Regset.union acc
+                (Regset.union Liveness.arg_regs Liveness.callee_saved)
+          | Cfg.E_call, _ -> acc
+          | (Cfg.E_indirect | Cfg.E_jump | Cfg.E_jump_table), Cfg.T_unknown ->
+              Regset.full
+          | ( ( Cfg.E_fallthrough | Cfg.E_taken | Cfg.E_not_taken
+              | Cfg.E_call_ft ),
+              Cfg.T_unknown ) ->
+              acc)
+        Regset.empty b.Cfg.b_out
+
+  (* (live_in, live_out) by block start *)
+  let analyze cfg f =
+    let blocks = Cfg.blocks_of cfg f in
+    let live_in = Hashtbl.create 16 and outs = Hashtbl.create 16 in
+    List.iter (fun (b : Cfg.block) -> Hashtbl.replace live_in b.Cfg.b_start Regset.empty) blocks;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (b : Cfg.block) ->
+          let lo = live_out live_in b in
+          Hashtbl.replace outs b.Cfg.b_start lo;
+          let first =
+            match b.Cfg.b_insns with [] -> b.Cfg.b_start | i :: _ -> i.Instruction.addr
+          in
+          let li = live_before b lo first in
+          if not (Regset.equal li (Hashtbl.find live_in b.Cfg.b_start)) then begin
+            Hashtbl.replace live_in b.Cfg.b_start li;
+            changed := true
+          end)
+        blocks
+    done;
+    (live_in, outs)
+end
+
+(* Every block's live-in and live-out and the dead registers before
+   every instruction, production vs reference, over all functions of
+   [cfg]: the number of instructions compared and each disagreement. *)
+let liveness_diff name cfg =
+  let n = ref 0 and bad = ref [] in
+  let expect what ok = if not ok then bad := what :: !bad in
+  List.iter
+    (fun (f : Cfg.func) ->
+      let lv = Liveness.analyze cfg f in
+      let ref_in, ref_out = Ref_liveness.analyze cfg f in
+      List.iter
+        (fun (b : Cfg.block) ->
+          let where = Printf.sprintf "%s %s block 0x%Lx" name f.Cfg.f_name b.Cfg.b_start in
+          let lo = Hashtbl.find ref_out b.Cfg.b_start in
+          expect (where ^ " live_in")
+            (Regset.equal (Liveness.live_in lv b.Cfg.b_start)
+               (Hashtbl.find ref_in b.Cfg.b_start));
+          expect (where ^ " live_out") (Regset.equal (Liveness.live_out lv b.Cfg.b_start) lo);
+          List.iter
+            (fun (ins : Instruction.t) ->
+              let a = ins.Instruction.addr in
+              let live = Ref_liveness.live_before b lo a in
+              let dead =
+                List.filter
+                  (fun r ->
+                    Reg.is_int r && (not (Regset.mem live r))
+                    && not (Regset.mem Liveness.never_allocatable r))
+                  (List.init 32 Fun.id)
+              in
+              incr n;
+              expect
+                (Printf.sprintf "%s dead before 0x%Lx" where a)
+                (dead = Liveness.dead_int_regs_before lv b a))
+            b.Cfg.b_insns)
+        (Cfg.blocks_of cfg f))
+    (Cfg.functions cfg);
+  (!n, List.rev !bad)
+
+let check_liveness_agrees name cfg =
+  let n, bad = liveness_diff name cfg in
+  Alcotest.(check (list string)) (name ^ ": production = reference") [] bad;
+  checkb (name ^ ": instructions compared") true (n > 0)
+
+let parse_image img = Parser.parse ~domains:1 (Symtab.of_image img)
+
+let test_liveness_differential_builtins () =
+  List.iter
+    (fun (name, src) ->
+      let img = (Minicc.Driver.compile (Lazy.force src)).Minicc.Driver.image in
+      check_liveness_agrees name (parse_image img))
+    Minicc.Programs.builtins
+
+let test_liveness_differential_corpora () =
+  List.iter
+    (fun (seed, n_funcs) ->
+      check_liveness_agrees
+        (Printf.sprintf "corpus seed %Ld (%d funcs)" seed n_funcs)
+        (parse_image (Check_api.Corpus.image ~seed ~index:0 ~n_funcs)))
+    [ (1L, 16); (2L, 40); (3L, 90) ]
+
+let test_liveness_differential_hostile () =
+  (* unresolved edges, undecodable tails, symbols mid-stream; streams the
+     parser rejects outright have no CFG to analyze *)
+  let parsed = ref 0 in
+  for k = 0 to 19 do
+    let seed = Int64.of_int (4000 + k) in
+    match Parser.parse ~domains:1 (Check_api.Parsediff.fuzz_symtab ~seed ~len:96) with
+    | cfg ->
+        incr parsed;
+        check_liveness_agrees (Printf.sprintf "fuzz %Ld" seed) cfg
+    | exception _ -> ()
+  done;
+  checkb "most hostile streams parse" true (!parsed >= 10)
+
 (* --- register sets ---------------------------------------------------------- *)
 
 let regset_gen =
@@ -371,6 +531,12 @@ let () =
             test_dead_regs_at_return_boundary;
           Alcotest.test_case "dead regs at unresolved indirect" `Quick
             test_dead_regs_unresolved_indirect;
+          Alcotest.test_case "differential: builtins" `Quick
+            test_liveness_differential_builtins;
+          Alcotest.test_case "differential: seeded corpora" `Quick
+            test_liveness_differential_corpora;
+          Alcotest.test_case "differential: hostile streams" `Quick
+            test_liveness_differential_hostile;
         ] );
       ( "regset",
         [

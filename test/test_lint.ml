@@ -2,7 +2,9 @@
    known-bad fixtures, and rewrite verification end to end — a clean
    rewrite must verify with zero errors, and each seeded defect class
    must be flagged: a mid-instruction springboard, a clobbered live
-   register and a dangling jump-table entry by their structural rules,
+   register, a dangling jump-table entry, a jump-table entry into a
+   patched-out block and an unmapped trap springboard by their
+   structural rules,
    an unbalanced trampoline stack and a stray register write in the
    relocated code by the symbolic tier of [Check.verify_rewrite].
    Every rule a seeded defect reports must be in the rule catalog. *)
@@ -368,6 +370,62 @@ let test_seed_dangling_jump_table () =
   checkb "dangling-jump-table error" true
     (errors_of ds "dangling-jump-table" <> [])
 
+(* 6. an absolute jump-table slot re-pointed into a patched-out block *)
+let test_seed_jump_table_into_patched () =
+  let st, cfg, img, m, r0 = instrument_switch () in
+  (* main's entry block [main, main+8) is now a springboard over zeros *)
+  let main = Asm.label_addr r0 "main" in
+  let bad = Bytes.create 8 in
+  Bytes.set_int64_le bad 0 (Int64.add main 4L);
+  poke img data_base bad;
+  let ds = verify_rewrite st cfg m img in
+  let want =
+    Printf.sprintf "jump-table entry 0 -> 0x%Lx lands inside patched block 0x%Lx"
+      (Int64.add main 4L) main
+  in
+  checkb "dangling-jump-table error names the patched block" true
+    (List.exists (fun d -> d.Diag.d_msg = want) (errors_of ds "dangling-jump-table"))
+
+(* 7. a trap springboard the trap map does not resolve *)
+let test_seed_unmapped_trap () =
+  let st, cfg, img, m, work = instrument_work () in
+  let e = work_entry_entry cfg m work in
+  poke img e.Manifest.me_block (Bytes.of_string "\x02\x90" (* c.ebreak *));
+  let as_trap traps =
+    {
+      m with
+      Manifest.m_traps = traps;
+      m_entries =
+        List.map
+          (fun (x : Manifest.entry) ->
+            if Int64.equal x.Manifest.me_block e.Manifest.me_block then
+              { x with Manifest.me_strategy = "trap"; me_sb_len = 2 }
+            else x)
+          m.Manifest.m_entries;
+    }
+  in
+  let unmapped traps =
+    errors_of (Verifier.verify ~orig:st cfg ~manifest:(as_trap traps) ~rewritten:img)
+      "trap-unmapped"
+    <> []
+  in
+  checkb "trap-unmapped without a map entry" true (unmapped []);
+  checkb "mapped trap accepted" false
+    (unmapped [ (e.Manifest.me_block, e.Manifest.me_tramp) ]);
+  checkb "a map entry to another trampoline does not count" true
+    (unmapped [ (e.Manifest.me_block, Int64.add e.Manifest.me_tramp 4L) ])
+
+(* a manifest whose trampoline size runs past the section: the
+   boundary scan stops at the section's last byte *)
+let test_verify_oversized_tramp () =
+  let st, cfg, img, m, _ = instrument_work () in
+  let ds =
+    Verifier.verify ~orig:st cfg
+      ~manifest:{ m with Manifest.m_tramp_size = max_int }
+      ~rewritten:img
+  in
+  checki "same verdict as the true size" 0 (Diag.n_errors ds)
+
 let () =
   Alcotest.run "lint"
     [
@@ -386,6 +444,8 @@ let () =
           Alcotest.test_case "jump-table clean" `Quick
             test_verify_jump_table_clean;
           Alcotest.test_case "jt stats" `Quick test_jt_stats;
+          Alcotest.test_case "oversized trampoline size" `Quick
+            test_verify_oversized_tramp;
         ] );
       ( "seeded-defects",
         [
@@ -398,5 +458,9 @@ let () =
           Alcotest.test_case "bad relocation" `Quick test_seed_bad_relocation;
           Alcotest.test_case "dangling jump-table entry" `Quick
             test_seed_dangling_jump_table;
+          Alcotest.test_case "jump-table entry into a patched block" `Quick
+            test_seed_jump_table_into_patched;
+          Alcotest.test_case "unmapped trap springboard" `Quick
+            test_seed_unmapped_trap;
         ] );
     ]
