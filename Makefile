@@ -21,8 +21,8 @@
 #                differential (minicc mutatees vs the sequential
 #                reference, adversarial fuzz streams vs domains=1, at
 #                1/2/4/8 oversubscribed domains).  Deterministic and
-#                fast; prints an `rvcheck replay --seed N --index K`
-#                reproducer line on any divergence
+#                fast; every divergence of every leg ends in an
+#                `rvcheck replay <case-id>` reproducer line
 #   lint-smoke   the rewrite verifier's gate: lint + instrument +
 #                rewrite + verify every built-in mutatee (fails on any
 #                error-severity diagnostic or unproved site), then
@@ -33,7 +33,8 @@
 #                byte-identical, clean shutdown
 #   verify-smoke `rvlint verify` on files: prove an on-disk rewrite,
 #                exit 1 on a tampered manifest, and pin the exit-2
-#                convention for unreadable inputs
+#                convention for unreadable inputs and for rvcheck's
+#                bad arguments
 #   check        fmt + build + test + fuzz-smoke + lint-smoke +
 #                verify-smoke + serve-smoke + bench-smoke — what CI and
 #                the PR driver run

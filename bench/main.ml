@@ -792,24 +792,19 @@ let bechamel_benches () =
    fuzz-smoke` quietly stops covering the ISA. *)
 let lockstep_throughput ?(count = 50_000) () =
   print_endline "\n== rvcheck lockstep throughput ==";
+  let open Check_api in
   let t0 = Sys.time () in
-  let stats = Check_api.Oracle.sweep ~seed:1L ~count () in
+  let s = Diffkit.sweep Oracle.leg (Oracle.cases ~seed:1L ~count) in
   let dt = Sys.time () -. t0 in
   Printf.printf
     "   %d cases in %.2f s (%.0f cases/s): %d agree, %d agreed faults, %d \
      diverged; %d opcodes, %.1f%% compressed\n"
-    stats.Check_api.Oracle.s_total dt
-    (float_of_int stats.Check_api.Oracle.s_total /. dt)
-    stats.Check_api.Oracle.s_agree stats.Check_api.Oracle.s_agree_fault
-    stats.Check_api.Oracle.s_diverged
-    (List.length stats.Check_api.Oracle.s_ops)
-    (100.
-    *. float_of_int stats.Check_api.Oracle.s_compressed
-    /. float_of_int stats.Check_api.Oracle.s_total);
-  if stats.Check_api.Oracle.s_diverged > 0 then
-    List.iter
-      (fun r -> Printf.printf "   DIVERGED: %s\n" (Check_api.Oracle.reproducer r))
-      stats.Check_api.Oracle.s_divergences
+    s.Diffkit.cases dt
+    (float_of_int s.Diffkit.cases /. dt)
+    (Diffkit.count s "agree") (Diffkit.count s "agree-fault") s.Diffkit.failed
+    (Diffkit.distinct s "op")
+    (100. *. float_of_int (Diffkit.count s "compressed") /. float_of_int s.Diffkit.cases);
+  if s.Diffkit.failed > 0 then Format.printf "%a" (Diffkit.pp_summary ~verbose:false) s
 
 (* ------------------------------------------------------------------ *)
 (* rvsim throughput: superblock engine vs per-instruction interpreter   *)
@@ -820,7 +815,7 @@ let lockstep_throughput ?(count = 50_000) () =
    trace-on.  Trace-on measures the fused path: the hook is compiled
    into the cached blocks, so the engine must stay well ahead of the
    interpreter.  Every number is paired with the engine differential
-   (Check_api.Enginediff), which must report zero divergences for the
+   (Check_api.Enginediff through Check_api.Diffkit), which must report zero divergences for the
    speedup to count; both speedups and the differential are hard gates
    (the bench fails, and `make bench-smoke` / `make check` with it, on
    violation). *)
@@ -888,13 +883,14 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
     (if on_ok then "ok" else "VIOLATED");
   (* the speedup only counts if the engines are indistinguishable *)
   let diff =
-    Check_api.Enginediff.sweep
-      ~mutatees:
-        (if smoke then [ "fib"; "calls" ] else List.map fst Minicc.Programs.builtins)
-      ~seeds:(if smoke then 10 else 25)
-      ()
+    Check_api.Diffkit.sweep Check_api.Enginediff.leg
+      (Check_api.Enginediff.cases
+         ~mutatees:
+           (if smoke then [ "fib"; "calls" ] else List.map fst Minicc.Programs.builtins)
+         ~seeds:(if smoke then 10 else 25)
+         ())
   in
-  Format.printf "   %a" Check_api.Enginediff.pp_summary diff;
+  Format.printf "   %a" (Check_api.Diffkit.pp_summary ~verbose:false) diff;
   let oc = open_out json in
   Printf.fprintf oc
     "{\n\
@@ -914,11 +910,11 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
     \  \"speedup_trace_on_ok\": %b\n\
      }\n"
     n n reps interp_off block_off interp_on block_on speedup_off speedup_on
-    translated chain_hits flushes diff.Check_api.Enginediff.s_checked
-    diff.Check_api.Enginediff.s_diverged off_ok on_ok;
+    translated chain_hits flushes diff.Check_api.Diffkit.cases
+    diff.Check_api.Diffkit.failed off_ok on_ok;
   close_out oc;
   Printf.printf "   wrote %s\n" json;
-  if diff.Check_api.Enginediff.s_diverged > 0 then
+  if diff.Check_api.Diffkit.failed > 0 then
     failwith "sim-throughput gate: engine differential diverged";
   if not off_ok then
     Printf.ksprintf failwith

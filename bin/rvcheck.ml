@@ -1,64 +1,99 @@
 (* rvcheck: the differential correctness harness as a tool.
 
-     rvcheck lockstep --seed 1 --count 10000
+   Every differential leg is a Diffkit instance: its cases are string
+   ids that encode every parameter, a sweep prints one summary, and each
+   divergence ends in a `reproduce: rvcheck replay <id>` line.
+
+     rvcheck lockstep --seed 1 --count 10000       (ids lockstep:SEED:INDEX)
          fuzz decodable-but-adversarial RV64GC instructions and diff the
          rvsim interpreter against the mini-SAIL semantics after every
-         step; any divergence prints a one-line reproducer
-     rvcheck replay --seed N --index K
-         re-run exactly one fuzzed case, verbosely
-     rvcheck decoder
-         exhaustive 16-bit sweep of the RVC decoder (reserved encodings,
-         expansion and re-compression round trips)
-     rvcheck roundtrip [--mutatee all|fib|...]
-         instrument a mutatee with an effect-free probe, rewrite, and
-         compare the visible state of original vs rewritten runs
-     rvcheck engine --seeds 50
+         step
+     rvcheck engine --seeds 50                     (ids engine:MUTATEE:OBS)
          run the same mutatees under the per-instruction interpreter and
          the superblock engine and diff final registers, memory, cycles,
          instret, HPM counters and timer firing points
-     rvcheck parsediff --seeds 20
+     rvcheck parsediff --seeds 20                  (ids parse:MUTATEE:DOMAINS)
          parse the same mutatees with the domain-parallel engine at
          1/2/4/8 domains and diff the CFGs structurally: minicc builtins
          against the frozen sequential reference parser, seeded
          adversarial instruction streams against the engine's own
          single-domain parse — any difference is a determinism bug
+     rvcheck roundtrip [--mutatee all|fib|...]     (ids roundtrip:MUTATEE)
+         instrument a mutatee with an effect-free probe, rewrite, and
+         compare the visible state of original vs rewritten runs
+     rvcheck replay CASE
+         re-run exactly one case of any leg, verbosely
+     rvcheck decoder
+         exhaustive 16-bit sweep of the RVC decoder (reserved encodings,
+         expansion and re-compression round trips)
      rvcheck smoke
-         the bounded fixed-seed sweep `make fuzz-smoke` runs in CI      *)
+         the bounded fixed-seed sweep `make fuzz-smoke` runs in CI
+
+   Bad arguments (unknown mutatee or case id, a count below its floor)
+   exit 2. *)
 
 open Cmdliner
 open Check_api
 
 let pr fmt = Format.printf fmt
+let legs = [ Oracle.leg; Enginediff.leg; Parsediff.leg; Roundtrip.leg ]
 
-let report_divergences (stats : Oracle.stats) =
-  List.iter
-    (fun r ->
-      pr "@.%a" Oracle.pp_report r;
-      pr "reproduce: %s@." (Oracle.reproducer r))
-    stats.Oracle.s_divergences;
-  if stats.Oracle.s_diverged > List.length stats.Oracle.s_divergences then
-    pr "... and %d more divergences@."
-      (stats.Oracle.s_diverged - List.length stats.Oracle.s_divergences)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("rvcheck: " ^ msg);
+      exit 2)
+    fmt
+
+let at_least floor opt n =
+  if n < floor then usage_error "--%s must be at least %d, got %d" opt floor n
+
+(* [] or [all] selects every built-in mutatee; an unknown name exits 2. *)
+let resolve_mutatees mutatees =
+  let all = List.map fst Minicc.Programs.builtins in
+  let names = match mutatees with [] | [ "all" ] -> all | ms -> ms in
+  let bad = List.filter (fun n -> not (List.mem n all)) names in
+  if bad <> [] then
+    usage_error "unknown mutatee(s) %s (expected %s)" (String.concat ", " bad)
+      (String.concat ", " all);
+  names
+
+(* The one path every leg runs through: sweep, summary, exit status.
+   Verbose prints each case that has notes, and per-value tag counts. *)
+let run_leg ?(verbose = false) leg ids =
+  let log = if verbose then Some Format.std_formatter else None in
+  let s = Diffkit.sweep ?log leg ids in
+  pr "%a" (Diffkit.pp_summary ~verbose) s;
+  if s.Diffkit.failed = 0 then 0 else 1
 
 let run_lockstep seed count verbose =
-  let stats = Oracle.sweep ~seed ~count () in
-  pr "lockstep sweep: seed=%Ld count=%d@." seed count;
-  pr "  agree        %d@." stats.Oracle.s_agree;
-  pr "  agree-fault  %d@." stats.Oracle.s_agree_fault;
-  pr "  diverged     %d@." stats.Oracle.s_diverged;
-  pr "  compressed   %d (%.1f%%)@." stats.Oracle.s_compressed
-    (100.0 *. float_of_int stats.Oracle.s_compressed /. float_of_int count);
-  pr "  opcodes hit  %d@." (List.length stats.Oracle.s_ops);
-  if verbose then
-    List.iter
-      (fun (op, n) -> pr "    %-12s %d@." (Riscv.Op.mnemonic op) n)
-      stats.Oracle.s_ops;
-  report_divergences stats;
-  if stats.Oracle.s_diverged > 0 then 1 else 0
+  at_least 1 "count" count;
+  run_leg ~verbose Oracle.leg (Oracle.cases ~seed ~count)
 
-let run_replay seed index =
-  let r = Oracle.replay Format.std_formatter ~seed ~index in
-  match r.Oracle.r_outcome with Oracle.Diverged _ -> 1 | _ -> 0
+let run_engine mutatees seeds len verbose =
+  at_least 0 "seeds" seeds;
+  at_least 1 "len" len;
+  let mutatees = resolve_mutatees mutatees in
+  run_leg ~verbose Enginediff.leg (Enginediff.cases ~mutatees ~seeds ~len ())
+
+let run_parsediff mutatees seeds verbose =
+  at_least 0 "seeds" seeds;
+  let mutatees = resolve_mutatees mutatees in
+  run_leg ~verbose Parsediff.leg (Parsediff.cases ~mutatees ~seeds)
+
+let run_roundtrip mutatees =
+  run_leg ~verbose:true Roundtrip.leg (Roundtrip.cases (resolve_mutatees mutatees))
+
+let run_replay id =
+  match Diffkit.replay legs id with
+  | o ->
+      Diffkit.pp_case Format.std_formatter id o;
+      if o.Diffkit.diffs = [] then 0 else 1
+  | exception Diffkit.Bad_case ->
+      usage_error
+        "unknown case id %S (expected e.g. lockstep:1:77, engine:fib:timer, \
+         parse:fuzz-4002/96:4, roundtrip:fib)"
+        id
 
 let run_decoder () =
   let accepted, violations = Decode_check.sweep () in
@@ -73,53 +108,9 @@ let run_decoder () =
   end
   else 1
 
-(* [] or [all] selects every built-in mutatee; an unknown name exits 2. *)
-let resolve_mutatees mutatees =
-  let all = List.map fst Minicc.Programs.builtins in
-  let names = match mutatees with [] | [ "all" ] -> all | ms -> ms in
-  let bad = List.filter (fun n -> not (List.mem n all)) names in
-  if bad <> [] then begin
-    Printf.eprintf "rvcheck: unknown mutatee(s) %s (expected %s)\n"
-      (String.concat ", " bad) (String.concat ", " all);
-    exit 2
-  end;
-  names
-
-let run_roundtrip mutatees =
-  let names = resolve_mutatees mutatees in
-  let results = List.map (fun n -> Roundtrip.check_builtin n) names in
-  List.iter (fun r -> pr "%a" Roundtrip.pp_result r) results;
-  if List.exists (fun r -> r.Roundtrip.rt_diffs <> []) results then 1 else 0
-
-let run_engine mutatees seeds len verbose =
-  let mutatees = resolve_mutatees mutatees in
-  let s = Enginediff.sweep ~mutatees ~seeds ~len () in
-  if verbose then
-    List.iter
-      (fun name ->
-        List.iter
-          (fun obs -> pr "%a" Enginediff.pp_result (Enginediff.check_builtin name obs))
-          Enginediff.all_obs)
-      mutatees;
-  pr "%a" Enginediff.pp_summary s;
-  if s.Enginediff.s_diverged = 0 then 0 else 1
-
-let run_parsediff mutatees seeds verbose =
-  let mutatees = resolve_mutatees mutatees in
-  let s = Parsediff.sweep ~mutatees ~seeds () in
-  if verbose then
-    List.iter
-      (fun name ->
-        List.iter
-          (fun r -> pr "%a" Parsediff.pp_result r)
-          (Parsediff.check_builtin name))
-      mutatees;
-  pr "%a" Parsediff.pp_summary s;
-  if s.Parsediff.s_diverged = 0 then 0 else 1
-
-(* The CI profile: fixed seed, bounded, sub-second; covers all five
-   harness legs so `make fuzz-smoke` exercises everything — including
-   the parallel-parser CFG-identity gate. *)
+(* The CI profile: fixed seed, bounded, sub-second; covers every leg
+   so `make fuzz-smoke` exercises everything — including the
+   parallel-parser CFG-identity gate. *)
 let run_smoke () =
   let rc1 = run_lockstep 1L 4000 false in
   let rc2 = run_decoder () in
@@ -142,21 +133,28 @@ let count_arg =
     value & opt int 10000
     & info [ "count" ] ~docv:"K" ~doc:"number of fuzzed instructions")
 
-let index_arg =
+let case_arg =
   Arg.(
     required
-    & opt (some int) None
-    & info [ "index" ] ~docv:"K" ~doc:"case index within the seed's stream")
+    & pos 0 (some string) None
+    & info [] ~docv:"CASE" ~doc:"a case id as a leg prints it, e.g. lockstep:1:77")
 
 let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"per-opcode coverage table")
+  Arg.(
+    value & flag
+    & info [ "v"; "verbose" ]
+        ~doc:
+          "print every case that has notes, and per-value tag counts \
+           (lockstep: the opcodes)")
 
 let mutatee_arg =
   Arg.(
     value
     & opt (list string) []
     & info [ "mutatee" ] ~docv:"M,.."
-        ~doc:"built-in mutatees to round-trip (default: all)")
+        ~doc:
+          "built-in mutatees for the roundtrip, engine and parsediff legs \
+           (default: all)")
 
 let lockstep_cmd =
   Cmd.v
@@ -165,8 +163,8 @@ let lockstep_cmd =
 
 let replay_cmd =
   Cmd.v
-    (Cmd.info "replay" ~doc:"replay one fuzzed case verbosely")
-    Term.(const run_replay $ seed_arg $ index_arg)
+    (Cmd.info "replay" ~doc:"re-run one case of any leg verbosely")
+    Term.(const run_replay $ case_arg)
 
 let decoder_cmd =
   Cmd.v
@@ -212,7 +210,9 @@ let smoke_cmd =
 let cmd =
   Cmd.group
     (Cmd.info "rvcheck"
-       ~doc:"differential correctness harness (rvsim vs Sail IR, rewrite round trip)")
+       ~doc:
+         "differential correctness harness: lockstep, engine, parse and \
+          round-trip legs, one replay")
     [
       lockstep_cmd;
       replay_cmd;

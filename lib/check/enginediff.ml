@@ -17,9 +17,13 @@
               deadline check at block boundaries; the exact cycle
               counts at which it fires are diffed
 
-   and diffs everything at the end: stop reason, x1..x31, f0..f31, pc,
-   fcsr, cycles, instret, the HPM counters, full sparse memory, stdout,
-   trace-hook call counts and timer firing cycles.
+   and diffs everything at the end: stop reason, the machine state
+   (Diffkit.machines: pc, registers, fcsr, reservation, full sparse
+   memory), cycles, instret, the HPM counters, stdout, trace-hook call
+   counts and timer firing cycles.  A case id is `engine:MUTATEE:OBS`,
+   where MUTATEE is a builtin, `selfmod` or `fuzz-SEED/LEN` and OBS
+   one of the four names above; the timer period is fixed per mutatee
+   kind (1000 cycles for builtins, 50 for fuzz, 10 for selfmod).
 
    Mutatees are the minicc builtins (real loops, calls,
    matmul FP), seeded straight-line programs built from the lockstep
@@ -34,42 +38,11 @@ open Riscv
 
 type obs = Plain | Trace | Hpm | Timer of int64
 
-let obs_name = function
-  | Plain -> "plain"
-  | Trace -> "trace"
-  | Hpm -> "hpm"
-  | Timer _ -> "timer"
-
-type result = {
-  e_name : string;
-  e_obs : string;
-  e_instret : int64; (* interpreter-side retired instructions *)
-  e_diffs : string list; (* divergences; empty = engines agree *)
-}
-
-type summary = { s_checked : int; s_diverged : int; s_failures : result list }
-
-(* --- running one machine under one engine -------------------------------- *)
-
-type outcome = {
-  o_stop : Rvsim.Machine.stop;
-  o_regs : int64 array;
-  o_fregs : int64 array;
-  o_pc : int64;
-  o_cycles : int64;
-  o_instret : int64;
-  o_fcsr : int;
-  o_hpm : int64 array;
-  o_mem : Rvsim.Mem.t;
-  o_stdout : string option;
-  o_trace_count : int;
-  o_timer_fires : int64 list;
-}
-
 let hpm_config = [ 1; 2; 3; 4 ] (* branch, taken-branch, load, store *)
 
-let run_machine ~engine ~obs ~max_steps (m : Rvsim.Machine.t)
-    (stdout_of : unit -> string option) : outcome =
+(* Run a fresh machine under one engine with [obs] installed; the
+   machine itself is what gets diffed. *)
+let run_machine ~engine ~obs ~max_steps ((m : Rvsim.Machine.t), stdout_of) =
   let trace_count = ref 0 and fires = ref [] in
   (match obs with
   | Plain -> ()
@@ -86,80 +59,38 @@ let run_machine ~engine ~obs ~max_steps (m : Rvsim.Machine.t)
     | `Interp -> Rvsim.Machine.run_interp ~max_steps m
     | `Block -> Rvsim.Bbcache.run ~max_steps m
   in
-  {
-    o_stop = stop;
-    o_regs = Array.copy m.Rvsim.Machine.regs;
-    o_fregs = Array.copy m.Rvsim.Machine.fregs;
-    o_pc = m.Rvsim.Machine.pc;
-    o_cycles = m.Rvsim.Machine.cycles;
-    o_instret = m.Rvsim.Machine.instret;
-    o_fcsr = m.Rvsim.Machine.fcsr;
-    o_hpm = Array.copy m.Rvsim.Machine.hpm;
-    o_mem = m.Rvsim.Machine.mem;
-    o_stdout = stdout_of ();
-    o_trace_count = !trace_count;
-    o_timer_fires = List.rev !fires;
-  }
+  (stop, m, stdout_of (), !trace_count, List.rev !fires)
 
-let diff_outcomes (a : outcome) (b : outcome) : string list =
-  (* a = interpreter, b = block engine *)
+(* Everything the block engine must reproduce, interpreter first. *)
+let diff_engines ~obs ~max_steps load : Diffkit.outcome =
+  let sa, a, oa, ta, fa = run_machine ~engine:`Interp ~obs ~max_steps (load ()) in
+  let sb, b, ob, tb, fb = run_machine ~engine:`Block ~obs ~max_steps (load ()) in
   let ds = ref [] in
   let push fmt = Printf.ksprintf (fun s -> ds := s :: !ds) fmt in
   let stop_str s = Format.asprintf "%a" Rvsim.Machine.pp_stop s in
-  if a.o_stop <> b.o_stop then
-    push "stop: interp %s, block %s" (stop_str a.o_stop) (stop_str b.o_stop);
-  if a.o_pc <> b.o_pc then push "pc: interp 0x%Lx, block 0x%Lx" a.o_pc b.o_pc;
-  for r = 1 to 31 do
-    if a.o_regs.(r) <> b.o_regs.(r) then
-      push "x%d: interp 0x%Lx, block 0x%Lx" r a.o_regs.(r) b.o_regs.(r)
-  done;
-  for r = 0 to 31 do
-    if a.o_fregs.(r) <> b.o_fregs.(r) then
-      push "f%d: interp 0x%Lx, block 0x%Lx" r a.o_fregs.(r) b.o_fregs.(r)
-  done;
-  if a.o_fcsr <> b.o_fcsr then push "fcsr: interp %#x, block %#x" a.o_fcsr b.o_fcsr;
-  if a.o_cycles <> b.o_cycles then
-    push "cycles: interp %Ld, block %Ld" a.o_cycles b.o_cycles;
-  if a.o_instret <> b.o_instret then
-    push "instret: interp %Ld, block %Ld" a.o_instret b.o_instret;
+  let open Rvsim.Machine in
+  if sa <> sb then push "stop: interp %s, block %s" (stop_str sa) (stop_str sb);
+  if a.cycles <> b.cycles then push "cycles: interp %Ld, block %Ld" a.cycles b.cycles;
+  if a.instret <> b.instret then
+    push "instret: interp %Ld, block %Ld" a.instret b.instret;
   Array.iteri
     (fun k va ->
-      if va <> b.o_hpm.(k) then
-        push "mhpmcounter%d: interp %Ld, block %Ld" (3 + k) va b.o_hpm.(k))
-    a.o_hpm;
-  (match Oracle.mem_first_diff a.o_mem b.o_mem with
-  | Some (addr, va, vb) ->
-      push "memory at 0x%Lx: interp %02x, block %02x" addr va vb
-  | None -> ());
-  (match (a.o_stdout, b.o_stdout) with
+      if va <> b.hpm.(k) then
+        push "mhpmcounter%d: interp %Ld, block %Ld" (3 + k) va b.hpm.(k))
+    a.hpm;
+  (match (oa, ob) with
   | Some sa, Some sb when sa <> sb -> push "stdout: interp %S, block %S" sa sb
   | _ -> ());
-  if a.o_trace_count <> b.o_trace_count then
-    push "trace hook calls: interp %d, block %d" a.o_trace_count b.o_trace_count;
-  if a.o_timer_fires <> b.o_timer_fires then
+  if ta <> tb then push "trace hook calls: interp %d, block %d" ta tb;
+  if fa <> fb then
     push "timer firings: interp [%s], block [%s]"
-      (String.concat "; " (List.map Int64.to_string a.o_timer_fires))
-      (String.concat "; " (List.map Int64.to_string b.o_timer_fires));
-  List.rev !ds
-
-(* --- mutatees ------------------------------------------------------------- *)
-
-(* A compiled minicc builtin, loaded fresh per engine. *)
-let check_builtin ?(max_steps = 20_000_000) name obs : result =
-  let src =
-    match List.assoc_opt name Minicc.Programs.builtins with
-    | Some src -> Lazy.force src
-    | None -> invalid_arg ("Enginediff.check_builtin: unknown mutatee " ^ name)
-  in
-  let compiled = Minicc.Driver.compile src in
-  let run engine =
-    let p = Rvsim.Loader.load compiled.Minicc.Driver.image in
-    run_machine ~engine ~obs ~max_steps p.Rvsim.Loader.machine (fun () ->
-        Some (Rvsim.Syscall.stdout_contents p.Rvsim.Loader.os))
-  in
-  let a = run `Interp in
-  let b = run `Block in
-  { e_name = name; e_obs = obs_name obs; e_instret = a.o_instret; e_diffs = diff_outcomes a b }
+      (String.concat "; " (List.map Int64.to_string fa))
+      (String.concat "; " (List.map Int64.to_string fb));
+  {
+    Diffkit.diffs = List.rev !ds @ Diffkit.machines ~a:"interp" ~b:"block" a b;
+    notes = [ Printf.sprintf "%Ld insns" a.instret ];
+    tags = [];
+  }
 
 (* A seeded straight-line program: fuzzer-generated instructions with the
    control-flow ops filtered out, laid back to back and closed with an
@@ -194,36 +125,6 @@ let fuzz_program ~seed ~len =
   in
   let fregs = Array.init 32 (fun _ -> Prng.i64 g) in
   (Buffer.to_bytes buf, regs, fregs)
-
-let check_fuzz ?(len = 40) ~seed obs : result =
-  let code, regs, fregs = fuzz_program ~seed ~len in
-  let run engine =
-    let m = Rvsim.Machine.create () in
-    Array.blit regs 0 m.Rvsim.Machine.regs 0 32;
-    Array.blit fregs 0 m.Rvsim.Machine.fregs 0 32;
-    ignore
-      (Rvsim.Machine.add_code_region m ~base:code_base ~size:(Bytes.length code));
-    Rvsim.Mem.write_bytes m.Rvsim.Machine.mem code_base code;
-    (* nonzero pattern in the fuzz window so loads observe data *)
-    let rec fill a =
-      if a < Fuzz.mem_hi then begin
-        Rvsim.Mem.write64 m.Rvsim.Machine.mem (Int64.of_int a)
-          (Int64.mul (Int64.of_int a) 0x0101_0101_0101_0101L);
-        fill (a + 8)
-      end
-    in
-    fill Fuzz.mem_lo;
-    m.Rvsim.Machine.pc <- code_base;
-    run_machine ~engine ~obs ~max_steps:(len * 4) m (fun () -> None)
-  in
-  let a = run `Interp in
-  let b = run `Block in
-  {
-    e_name = Printf.sprintf "fuzz-%Ld" seed;
-    e_obs = obs_name obs;
-    e_instret = a.o_instret;
-    e_diffs = diff_outcomes a b;
-  }
 
 (* A hand-assembled self-modifying mutatee, the block cache's hardest
    case: block A ends in a direct jump chained tail-to-head to block B;
@@ -260,68 +161,69 @@ let selfmod_code =
      in
      (Asm.assemble ~base:code_base items).Asm.code)
 
-let check_selfmod obs : result =
-  let code = Lazy.force selfmod_code in
-  let run engine =
-    let m = Rvsim.Machine.create () in
-    ignore
-      (Rvsim.Machine.add_code_region m ~base:code_base ~size:(Bytes.length code));
-    Rvsim.Mem.write_bytes m.Rvsim.Machine.mem code_base code;
-    m.Rvsim.Machine.pc <- code_base;
-    run_machine ~engine ~obs ~max_steps:10_000 m (fun () -> None)
-  in
-  let a = run `Interp in
-  let b = run `Block in
+(* A fresh machine with [code] mapped executable at [code_base] and the
+   pc on its first instruction. *)
+let code_machine code =
+  let m = Rvsim.Machine.create () in
+  ignore (Rvsim.Machine.add_code_region m ~base:code_base ~size:(Bytes.length code));
+  Rvsim.Mem.write_bytes m.Rvsim.Machine.mem code_base code;
+  m.Rvsim.Machine.pc <- code_base;
+  m
+
+let no_stdout () = None
+
+(* The mutatee an id names: a loader giving a fresh machine per run, the
+   step budget and the timer period. *)
+let mutatee name =
+  match Diffkit.fuzz_of_name name with
+  | Some (seed, len) ->
+      let code, regs, fregs = fuzz_program ~seed ~len in
+      let load () =
+        let m = code_machine code in
+        Array.blit regs 0 m.Rvsim.Machine.regs 0 32;
+        Array.blit fregs 0 m.Rvsim.Machine.fregs 0 32;
+        (* nonzero pattern in the fuzz window so loads observe data *)
+        for k = 0 to ((Fuzz.mem_hi - Fuzz.mem_lo) / 8) - 1 do
+          let a = Int64.of_int (Fuzz.mem_lo + (8 * k)) in
+          Rvsim.Mem.write64 m.Rvsim.Machine.mem a (Int64.mul a 0x0101_0101_0101_0101L)
+        done;
+        (m, no_stdout)
+      in
+      (load, len * 4, 50L)
+  | None when name = "selfmod" ->
+      ((fun () -> (code_machine (Lazy.force selfmod_code), no_stdout)), 10_000, 10L)
+  | None ->
+      let image = Diffkit.builtin name in
+      let load () =
+        let p = Rvsim.Loader.load image in
+        let stdout () = Some (Rvsim.Syscall.stdout_contents p.Rvsim.Loader.os) in
+        (p.Rvsim.Loader.machine, stdout)
+      in
+      (load, 20_000_000, 1000L)
+
+let obs_names = [ "plain"; "trace"; "hpm"; "timer" ]
+
+let cases ~mutatees ~seeds ?(len = 40) () =
+  let fuzz = List.init seeds (fun k -> Diffkit.fuzz_name ~seed:(1000 + k) ~len) in
+  List.concat_map
+    (fun m -> List.map (Printf.sprintf "engine:%s:%s" m) obs_names)
+    (mutatees @ ("selfmod" :: fuzz))
+
+let leg =
   {
-    e_name = "selfmod";
-    e_obs = obs_name obs;
-    e_instret = a.o_instret;
-    e_diffs = diff_outcomes a b;
+    Diffkit.name = "engine";
+    run =
+      (fun ~verbose:_ -> function
+        | [ name; obs ] ->
+            let load, max_steps, period = mutatee name in
+            let obs =
+              match obs with
+              | "plain" -> Plain
+              | "trace" -> Trace
+              | "hpm" -> Hpm
+              | "timer" -> Timer period
+              | _ -> raise Diffkit.Bad_case
+            in
+            diff_engines ~obs ~max_steps load
+        | _ -> raise Diffkit.Bad_case);
   }
-
-(* --- the sweep ------------------------------------------------------------ *)
-
-let all_obs = [ Plain; Trace; Hpm; Timer 1000L ]
-
-let sweep ?(mutatees = [ "fib"; "calls" ]) ?(seeds = 25) ?(len = 40)
-    ?(base_seed = 1000) () : summary =
-  let results =
-    List.concat_map
-      (fun name -> List.map (fun obs -> check_builtin name obs) all_obs)
-      mutatees
-    @ List.map (fun obs -> check_selfmod obs) [ Plain; Trace; Hpm; Timer 10L ]
-    @ List.concat_map
-        (fun k ->
-          let seed = Int64.of_int (base_seed + k) in
-          [
-            check_fuzz ~len ~seed Plain;
-            check_fuzz ~len ~seed Trace;
-            check_fuzz ~len ~seed Hpm;
-            check_fuzz ~len ~seed (Timer 50L);
-          ])
-        (List.init seeds Fun.id)
-  in
-  let failures = List.filter (fun r -> r.e_diffs <> []) results in
-  {
-    s_checked = List.length results;
-    s_diverged = List.length failures;
-    s_failures = failures;
-  }
-
-let pp_result fmt (r : result) =
-  if r.e_diffs = [] then
-    Format.fprintf fmt "%-12s %-6s agree (%Ld insns)@." r.e_name r.e_obs r.e_instret
-  else begin
-    Format.fprintf fmt "%-12s %-6s DIVERGED (%Ld insns)@." r.e_name r.e_obs
-      r.e_instret;
-    List.iter (fun d -> Format.fprintf fmt "  %s@." d) r.e_diffs
-  end
-
-let pp_summary fmt (s : summary) =
-  if s.s_diverged = 0 then
-    Format.fprintf fmt "engine differential: %d runs, zero divergences@." s.s_checked
-  else begin
-    Format.fprintf fmt "engine differential: %d of %d runs DIVERGED@." s.s_diverged
-      s.s_checked;
-    List.iter (pp_result fmt) s.s_failures
-  end

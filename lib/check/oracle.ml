@@ -4,9 +4,9 @@
    instruction with the hand-written interpreter (Rvsim.Machine.step,
    fetching and decoding the raw bytes itself), the other applies the
    mini-SAIL IR semantics (Sailsem.Eval.exec) to the decoded
-   instruction.  Afterwards the full architectural state is diffed:
-   pc, x1..x31, f0..f31, fcsr, the LR/SC reservation and every touched
-   memory page.
+   instruction.  Afterwards the full architectural state is diffed with
+   Diffkit.machines: pc, x1..x31, f0..f31, fcsr, the LR/SC reservation
+   and every touched memory page.  A case id is `lockstep:SEED:INDEX`.
 
    Faults are part of the contract: if the interpreter refuses the case
    (illegal CSR, out-of-range address) the evaluator must refuse it too,
@@ -15,19 +15,6 @@
    agreeing on the *refusal* is the property. *)
 
 open Riscv
-
-type diff = { d_what : string; d_sim : string; d_sail : string }
-
-type outcome =
-  | Agree
-  | Agree_fault of string (* both sides refused; the simulator's reason *)
-  | Diverged of diff list
-
-type report = {
-  r_case : Fuzz.case;
-  r_decoded : Insn.t option; (* what the machine's decoder saw *)
-  r_outcome : outcome;
-}
 
 let setup_machine (c : Fuzz.case) =
   let m = Rvsim.Machine.create () in
@@ -76,208 +63,103 @@ let eval_state_of_machine (m : Rvsim.Machine.t) : Sailsem.Eval.state =
     reservation = m.Machine.reservation;
   }
 
-(* First byte where the two sparse memories disagree (absent pages count
-   as all-zero), as (address, sim byte, sail byte). *)
-let mem_first_diff (a : Rvsim.Mem.t) (b : Rvsim.Mem.t) =
-  let page_size = 1 lsl 12 in
-  let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.Rvsim.Mem.pages [] in
-  let all = List.sort_uniq compare (keys a @ keys b) in
-  let zero = Bytes.make page_size '\000' in
-  let page t k =
-    Option.value (Hashtbl.find_opt t.Rvsim.Mem.pages k) ~default:zero
-  in
-  let rec scan_pages = function
-    | [] -> None
-    | k :: rest ->
-        let pa = page a k and pb = page b k in
-        if Bytes.equal pa pb then scan_pages rest
-        else
-          let rec scan_bytes i =
-            if Bytes.get pa i <> Bytes.get pb i then
-              Some
-                ( Int64.of_int ((k * page_size) + i),
-                  Char.code (Bytes.get pa i),
-                  Char.code (Bytes.get pb i) )
-            else scan_bytes (i + 1)
-          in
-          scan_bytes 0
-  in
-  scan_pages all
-
-let diff_states (m1 : Rvsim.Machine.t) (m2 : Rvsim.Machine.t) : diff list =
-  let ds = ref [] in
-  let push what sim sail = ds := { d_what = what; d_sim = sim; d_sail = sail } :: !ds in
-  if m1.pc <> m2.pc then push "pc" (Printf.sprintf "0x%Lx" m1.pc) (Printf.sprintf "0x%Lx" m2.pc);
-  for r = 1 to 31 do
-    if m1.regs.(r) <> m2.regs.(r) then
-      push
-        (Printf.sprintf "x%d" r)
-        (Printf.sprintf "0x%Lx" m1.regs.(r))
-        (Printf.sprintf "0x%Lx" m2.regs.(r))
-  done;
-  for r = 0 to 31 do
-    if m1.fregs.(r) <> m2.fregs.(r) then
-      push
-        (Printf.sprintf "f%d" r)
-        (Printf.sprintf "0x%Lx" m1.fregs.(r))
-        (Printf.sprintf "0x%Lx" m2.fregs.(r))
-  done;
-  if m1.fcsr <> m2.fcsr then
-    push "fcsr" (string_of_int m1.fcsr) (string_of_int m2.fcsr);
-  if m1.reservation <> m2.reservation then begin
-    let s = function None -> "none" | Some a -> Printf.sprintf "0x%Lx" a in
-    push "reservation" (s m1.reservation) (s m2.reservation)
-  end;
-  (match mem_first_diff m1.mem m2.mem with
-  | Some (addr, va, vb) ->
-      push
-        (Printf.sprintf "mem[0x%Lx]" addr)
-        (Printf.sprintf "%02x" va) (Printf.sprintf "%02x" vb)
-  | None -> ());
-  List.rev !ds
-
 let pp_stop_str stop = Format.asprintf "%a" Rvsim.Machine.pp_stop stop
 
-(* Run one fuzzed case through both semantics. *)
-let check_case (c : Fuzz.case) : report =
+(* Step both sides.  [Error reason] when both refuse; otherwise the
+   diffs: a one-sided refusal, or the post-state differences. *)
+let step_both (c : Fuzz.case) (insn : Insn.t) m1 m2 =
+  let sim_stop = Rvsim.Machine.step m1 in
+  let sail_result =
+    match Sailsem.Sail.sem_of_op insn.Insn.op with
+    | None -> Error "no semantics for opcode"
+    | Some sem -> (
+        let st = eval_state_of_machine m2 in
+        match Sailsem.Eval.exec sem ~insn ~pc:c.Fuzz.c_pc st with
+        | pc' ->
+            m2.Rvsim.Machine.pc <- pc';
+            m2.Rvsim.Machine.reservation <- st.Sailsem.Eval.reservation;
+            Ok ()
+        | exception Rvsim.Mem.Fault a ->
+            Error (Printf.sprintf "memory fault at 0x%Lx" a)
+        | exception Rvsim.Machine.Illegal_csr n ->
+            Error (Printf.sprintf "illegal csr 0x%x" n)
+        | exception Sailsem.Eval.Eval_error msg -> Error ("eval: " ^ msg))
+  in
+  match (sim_stop, sail_result) with
+  | None, Ok () -> Ok (Diffkit.machines ~a:"sim" ~b:"sail" m1 m2)
+  | Some stop, Error _ -> Error (pp_stop_str stop)
+  | Some stop, Ok () -> Ok [ "stop: sim " ^ pp_stop_str stop ^ ", sail stepped" ]
+  | None, Error msg -> Ok [ "stop: sim stepped, sail " ^ msg ]
+
+(* The case, what compressed bytes decode to, a shared refusal and —
+   verbose only — the pre-state of the operands, reservation and fcsr. *)
+let describe ~verbose (c : Fuzz.case) decoded fault =
+  let i = Option.value decoded ~default:c.Fuzz.c_insn in
+  let compressed = Bytes.length c.Fuzz.c_bytes = 2 in
+  (* each operand from its own register file: f for FP operands *)
+  let operands =
+    let op = i.Insn.op in
+    [
+      (Op.rd_is_fp op, i.Insn.rd);
+      (Op.rs1_is_fp op, i.Insn.rs1);
+      (Op.rs2_is_fp op, i.Insn.rs2);
+    ]
+    @ (if Op.has_rs3 op then [ (true, i.Insn.rs3) ] else [])
+    |> List.filter (fun (fp, r) -> fp || r > 0)
+    |> List.sort_uniq compare
+  in
+  let pre =
+    List.map
+      (fun (fp, r) ->
+        if fp then Printf.sprintf "pre f%-2d = 0x%Lx" r c.Fuzz.c_fregs.(r)
+        else Printf.sprintf "pre x%-2d = 0x%Lx" r c.Fuzz.c_regs.(r))
+      operands
+    @ (match c.Fuzz.c_reservation with
+      | Some a -> [ Printf.sprintf "pre reservation = 0x%Lx" a ]
+      | None -> [])
+    @ if c.Fuzz.c_fcsr <> 0 then [ Printf.sprintf "pre fcsr = %d" c.Fuzz.c_fcsr ] else []
+  in
+  List.concat
+    [
+      [ Format.asprintf "%a" Fuzz.pp_case c ];
+      (if compressed && decoded <> None then [ "decodes to: " ^ Insn.to_string i ]
+       else []);
+      (match fault with Some why -> [ "both fault (" ^ why ^ ")" ] | None -> []);
+      (if verbose then pre else []);
+    ]
+
+(* Run one fuzzed case through both semantics.  Tags: [agree] or
+   [agree-fault], [compressed], and [op=MNEMONIC] of the decoded
+   instruction.  Failures and verbose runs are described in the notes. *)
+let check ~verbose (c : Fuzz.case) : Diffkit.outcome =
   let m1 = setup_machine c in
   let m2 = setup_machine c in
   let decoded = Decode.decode c.Fuzz.c_bytes in
-  match decoded with
-  | None ->
-      {
-        r_case = c;
-        r_decoded = None;
-        r_outcome =
-          Diverged
-            [
-              {
-                d_what = "decode";
-                d_sim = "generated bytes do not decode";
-                d_sail = Insn.to_string c.Fuzz.c_insn;
-              };
-            ];
-      }
-  | Some insn -> (
-      let sim_stop = Rvsim.Machine.step m1 in
-      let sail_result =
-        match Sailsem.Sail.sem_of_op insn.Insn.op with
-        | None -> Error "no semantics for opcode"
-        | Some sem -> (
-            let st = eval_state_of_machine m2 in
-            match Sailsem.Eval.exec sem ~insn ~pc:c.Fuzz.c_pc st with
-            | pc' ->
-                m2.Rvsim.Machine.pc <- pc';
-                m2.Rvsim.Machine.reservation <- st.Sailsem.Eval.reservation;
-                Ok ()
-            | exception Rvsim.Mem.Fault a ->
-                Error (Printf.sprintf "memory fault at 0x%Lx" a)
-            | exception Rvsim.Machine.Illegal_csr n ->
-                Error (Printf.sprintf "illegal csr 0x%x" n)
-            | exception Sailsem.Eval.Eval_error msg -> Error ("eval: " ^ msg))
-      in
-      let outcome =
-        match (sim_stop, sail_result) with
-        | None, Ok () -> (
-            match diff_states m1 m2 with [] -> Agree | ds -> Diverged ds)
-        | Some stop, Error _ -> Agree_fault (pp_stop_str stop)
-        | Some stop, Ok () ->
-            Diverged
-              [ { d_what = "stop"; d_sim = pp_stop_str stop; d_sail = "stepped" } ]
-        | None, Error msg ->
-            Diverged [ { d_what = "stop"; d_sim = "stepped"; d_sail = msg } ]
-      in
-      { r_case = c; r_decoded = decoded; r_outcome = outcome })
-
-let check ~seed ~index = check_case (Fuzz.case_of ~seed ~index)
-
-(* --- sweeping ---------------------------------------------------------- *)
-
-type stats = {
-  s_total : int;
-  s_agree : int;
-  s_agree_fault : int;
-  s_diverged : int;
-  s_compressed : int; (* cases executed from a 16-bit encoding *)
-  s_ops : (Op.t * int) list; (* opcode coverage, descending *)
-  s_divergences : report list; (* first few, in index order *)
-}
-
-let reproducer (r : report) =
-  Printf.sprintf "rvcheck replay --seed %Ld --index %d" r.r_case.Fuzz.c_seed
-    r.r_case.Fuzz.c_index
-
-let sweep ?(max_reports = 10) ~seed ~count () : stats =
-  let agree = ref 0
-  and agree_fault = ref 0
-  and diverged = ref 0
-  and compressed = ref 0 in
-  let per_op : (Op.t, int) Hashtbl.t = Hashtbl.create 128 in
-  let reports = ref [] in
-  for index = 0 to count - 1 do
-    let r = check ~seed ~index in
-    if Bytes.length r.r_case.Fuzz.c_bytes = 2 then incr compressed;
-    (match r.r_decoded with
-    | Some i ->
-        Hashtbl.replace per_op i.Insn.op
-          (1 + Option.value (Hashtbl.find_opt per_op i.Insn.op) ~default:0)
-    | None -> ());
-    match r.r_outcome with
-    | Agree -> incr agree
-    | Agree_fault _ -> incr agree_fault
-    | Diverged _ ->
-        incr diverged;
-        if List.length !reports < max_reports then reports := r :: !reports
-  done;
-  let ops =
-    Hashtbl.fold (fun op n acc -> (op, n) :: acc) per_op []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+  let diffs, tags, fault =
+    match decoded with
+    | None ->
+        let want = Insn.to_string c.Fuzz.c_insn in
+        ([ "decode: generated bytes do not decode, expected " ^ want ], [], None)
+    | Some insn -> (
+        let op = "op=" ^ Op.mnemonic insn.Insn.op in
+        match step_both c insn m1 m2 with
+        | Error why -> ([], [ "agree-fault"; op ], Some why)
+        | Ok [] -> ([], [ "agree"; op ], None)
+        | Ok ds -> (ds, [ op ], None))
   in
+  let tags = if Bytes.length c.Fuzz.c_bytes = 2 then "compressed" :: tags else tags in
+  let notes = if verbose || diffs <> [] then describe ~verbose c decoded fault else [] in
+  { Diffkit.diffs; notes; tags }
+
+let cases ~seed ~count = List.init count (Printf.sprintf "lockstep:%Ld:%d" seed)
+
+let leg =
   {
-    s_total = count;
-    s_agree = !agree;
-    s_agree_fault = !agree_fault;
-    s_diverged = !diverged;
-    s_compressed = !compressed;
-    s_ops = ops;
-    s_divergences = List.rev !reports;
+    Diffkit.name = "lockstep";
+    run =
+      (fun ~verbose -> function
+        | [ seed; index ] ->
+            let seed = Diffkit.int64 seed and index = Diffkit.int index in
+            check ~verbose (Fuzz.case_of ~seed ~index)
+        | _ -> raise Diffkit.Bad_case);
   }
-
-(* --- reporting --------------------------------------------------------- *)
-
-let pp_report fmt (r : report) =
-  Format.fprintf fmt "%a@." Fuzz.pp_case r.r_case;
-  (match r.r_decoded with
-  | Some i when Bytes.length r.r_case.Fuzz.c_bytes = 2 ->
-      Format.fprintf fmt "decodes to: %s@." (Insn.to_string i)
-  | _ -> ());
-  match r.r_outcome with
-  | Agree -> Format.fprintf fmt "outcome: agree@."
-  | Agree_fault why -> Format.fprintf fmt "outcome: both fault (%s)@." why
-  | Diverged ds ->
-      Format.fprintf fmt "outcome: DIVERGED@.";
-      List.iter
-        (fun d ->
-          Format.fprintf fmt "  %-12s sim=%s  sail=%s@." d.d_what d.d_sim
-            d.d_sail)
-        ds
-
-(* Verbose replay of one case: pre-state, both post-states. *)
-let replay fmt ~seed ~index =
-  let r = check ~seed ~index in
-  let c = r.r_case in
-  Format.fprintf fmt "%a@." Fuzz.pp_case c;
-  let interesting =
-    let i = Option.value r.r_decoded ~default:c.Fuzz.c_insn in
-    List.sort_uniq compare
-      (List.filter (fun r -> r > 0) [ i.Insn.rd; i.Insn.rs1; i.Insn.rs2 ])
-  in
-  List.iter
-    (fun x -> Format.fprintf fmt "  pre x%-2d = 0x%Lx@." x c.Fuzz.c_regs.(x))
-    interesting;
-  (match c.Fuzz.c_reservation with
-  | Some a -> Format.fprintf fmt "  pre reservation = 0x%Lx@." a
-  | None -> ());
-  if c.Fuzz.c_fcsr <> 0 then Format.fprintf fmt "  pre fcsr = %d@." c.Fuzz.c_fcsr;
-  pp_report fmt r;
-  r

@@ -23,19 +23,10 @@
    The fuzz streams exercise exactly the merge paths structured
    compiler output never hits: block splits at addresses discovered by
    a later round, overlapping decode streams, terminators cut off
-   mid-block. *)
+   mid-block.  A case id is `parse:MUTATEE:DOMAINS`, where MUTATEE is a
+   builtin or `fuzz-SEED/LEN`. *)
 
 open Parse_api
-
-type result = {
-  p_name : string;
-  p_domains : int;
-  p_funcs : int; (* reference-parse function count, for the report *)
-  p_blocks : int; (* reference-parse block count *)
-  p_diffs : string list; (* structural differences; empty = identical *)
-}
-
-type summary = { s_checked : int; s_diverged : int; s_failures : result list }
 
 (* 1 exercises the sequential fast path of the engine; 2/4/8 the
    work-stealing fan-out.  [~oversubscribe:true] bypasses the engine's
@@ -43,96 +34,6 @@ type summary = { s_checked : int; s_diverged : int; s_failures : result list }
    is exactly the contended scheduling regime a determinism harness
    wants, even though the production policy avoids it for speed. *)
 let domain_counts = [ 1; 2; 4; 8 ]
-
-let against name st (oracle : Cfg.t) oracle_name ds : result list =
-  let funcs = List.length (Cfg.functions oracle) in
-  let blocks = Cfg.n_blocks oracle in
-  List.map
-    (fun d ->
-      match Parser.parse ~domains:d ~oversubscribe:true st with
-      | cfg ->
-          {
-            p_name = name;
-            p_domains = d;
-            p_funcs = funcs;
-            p_blocks = blocks;
-            p_diffs = Cfg_diff.diff oracle cfg;
-          }
-      | exception e ->
-          {
-            p_name = name;
-            p_domains = d;
-            p_funcs = funcs;
-            p_blocks = blocks;
-            p_diffs =
-              [
-                Printf.sprintf "domains=%d raised %s where %s succeeded" d
-                  (Printexc.to_string e) oracle_name;
-              ];
-          })
-    ds
-
-(* Structured (compiler-emitted) code: the frozen sequential parser is
-   the oracle and every domain count must reproduce its CFG exactly. *)
-let check_against_reference name (st : Symtab.t) : result list =
-  against name st (Refparser.parse st) "the sequential reference" domain_counts
-
-(* Hostile code: functions can share blocks, and the sequential
-   parser's per-function attributes on shared blocks (membership of
-   split tails, callee sets, the returns flag) depend on which function
-   historically parsed the block first — the very history-dependence
-   the round-based engine removes.  (It can even abort outright on
-   branches into instruction middles.)  So the adversarial oracle is
-   the engine's own single-domain parse: 2/4/8 domains must reproduce
-   the domains=1 outcome exactly — the same CFG, or the same
-   rejection. *)
-let check_self_consistent name (st : Symtab.t) : result list =
-  match Parser.parse ~domains:1 ~oversubscribe:true st with
-  | base ->
-      {
-        p_name = name;
-        p_domains = 1;
-        p_funcs = List.length (Cfg.functions base);
-        p_blocks = Cfg.n_blocks base;
-        p_diffs = [];
-      }
-      :: against name st base "domains=1"
-           (List.filter (fun d -> d <> 1) domain_counts)
-  | exception _ ->
-      List.map
-        (fun d ->
-          match Parser.parse ~domains:d ~oversubscribe:true st with
-          | _ ->
-              {
-                p_name = name;
-                p_domains = d;
-                p_funcs = 0;
-                p_blocks = 0;
-                p_diffs =
-                  [
-                    Printf.sprintf
-                      "domains=%d succeeded where domains=1 rejected the input"
-                      d;
-                  ];
-              }
-          | exception _ ->
-              {
-                p_name = name;
-                p_domains = d;
-                p_funcs = 0;
-                p_blocks = 0;
-                p_diffs = [];
-              })
-        domain_counts
-
-let check_builtin name : result list =
-  let src =
-    match List.assoc_opt name Minicc.Programs.builtins with
-    | Some src -> Lazy.force src
-    | None -> invalid_arg ("Parsediff.check_builtin: unknown mutatee " ^ name)
-  in
-  let compiled = Minicc.Driver.compile src in
-  check_against_reference name (Symtab.of_image compiled.Minicc.Driver.image)
 
 (* A seeded adversarial mutatee: the fuzzer's decodable instruction
    stream — control flow included — packed into one executable .text
@@ -174,40 +75,64 @@ let fuzz_symtab ~seed ~len : Symtab.t =
   in
   Symtab.of_image (Elfkit.Types.image ~entry:fuzz_base ~symbols sections)
 
-let check_fuzz ?(len = 96) ~seed () : result list =
-  check_self_consistent (Printf.sprintf "fuzz-%Ld" seed) (fuzz_symtab ~seed ~len)
+(* Structured (compiler-emitted) code: the frozen sequential parser is
+   the oracle and every domain count must reproduce its CFG exactly.
 
-let sweep ?(mutatees = List.map fst Minicc.Programs.builtins) ?(seeds = 10) ?(len = 96)
-    ?(base_seed = 4000) () : summary =
-  let results =
-    List.concat_map check_builtin mutatees
-    @ List.concat_map
-        (fun k -> check_fuzz ~len ~seed:(Int64.of_int (base_seed + k)) ())
-        (List.init seeds Fun.id)
+   Hostile code: functions can share blocks, and the sequential
+   parser's per-function attributes on shared blocks (membership of
+   split tails, callee sets, the returns flag) depend on which function
+   historically parsed the block first — the very history-dependence
+   the round-based engine removes.  (It can even abort outright on
+   branches into instruction middles.)  So the adversarial oracle is
+   the engine's own single-domain parse. *)
+let check name d : Diffkit.outcome =
+  if d < 1 then raise Diffkit.Bad_case;
+  let oracle_name, st, oracle =
+    match Diffkit.fuzz_of_name name with
+    | Some (seed, len) ->
+        let st = fuzz_symtab ~seed ~len in
+        ("domains=1", st, fun () -> Parser.parse ~domains:1 ~oversubscribe:true st)
+    | None ->
+        let st = Symtab.of_image (Diffkit.builtin name) in
+        ("the sequential reference", st, fun () -> Refparser.parse st)
   in
-  let failures = List.filter (fun r -> r.p_diffs <> []) results in
+  let attempt f = match f () with cfg -> Ok cfg | exception e -> Error e in
+  let oracle = attempt oracle in
+  (* the same CFG, or the same rejection *)
+  let diffs =
+    let cfg = attempt (fun () -> Parser.parse ~domains:d ~oversubscribe:true st) in
+    match (oracle, cfg) with
+    | Ok a, Ok b -> Cfg_diff.diff a b
+    | Error _, Error _ -> []
+    | Ok _, Error e ->
+        [
+          Printf.sprintf "domains=%d raised %s where %s succeeded" d
+            (Printexc.to_string e) oracle_name;
+        ]
+    | Error _, Ok _ ->
+        [
+          Printf.sprintf "domains=%d succeeded where %s rejected the input" d
+            oracle_name;
+        ]
+  in
+  let notes =
+    match oracle with
+    | Ok cfg ->
+        let funcs = List.length (Cfg.functions cfg) in
+        [ Printf.sprintf "%d funcs, %d blocks" funcs (Cfg.n_blocks cfg) ]
+    | Error _ -> [ oracle_name ^ " rejects the input" ]
+  in
+  { Diffkit.diffs; notes; tags = [] }
+
+let cases ~mutatees ~seeds =
+  List.concat_map
+    (fun m -> List.map (Printf.sprintf "parse:%s:%d" m) domain_counts)
+    (mutatees @ List.init seeds (fun k -> Diffkit.fuzz_name ~seed:(4000 + k) ~len:96))
+
+let leg =
   {
-    s_checked = List.length results;
-    s_diverged = List.length failures;
-    s_failures = failures;
+    Diffkit.name = "parse";
+    run =
+      (fun ~verbose:_ -> function
+        | [ name; d ] -> check name (Diffkit.int d) | _ -> raise Diffkit.Bad_case);
   }
-
-let pp_result fmt (r : result) =
-  if r.p_diffs = [] then
-    Format.fprintf fmt "%-12s domains=%d identical (%d funcs, %d blocks)@."
-      r.p_name r.p_domains r.p_funcs r.p_blocks
-  else begin
-    Format.fprintf fmt "%-12s domains=%d DIFFERS (%d differences)@." r.p_name
-      r.p_domains (List.length r.p_diffs);
-    List.iter (fun d -> Format.fprintf fmt "  %s@." d) r.p_diffs
-  end
-
-let pp_summary fmt (s : summary) =
-  if s.s_diverged = 0 then
-    Format.fprintf fmt "parse differential: %d parses, zero CFG differences@."
-      s.s_checked
-  else begin
-    Format.fprintf fmt "parse differential: %d of %d parses DIFFER@."
-      s.s_diverged s.s_checked;
-    List.iter (pp_result fmt) s.s_failures
-  end

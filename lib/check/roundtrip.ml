@@ -12,15 +12,8 @@
    Only the patch area (trampolines, springboards, instrumentation
    variables) may differ — that is the paper's transparency contract for
    binary rewriting.  The probe counter is also read back and must be
-   nonzero, so a silently-dropped instrumentation pass cannot pass. *)
-
-type result = {
-  rt_name : string;
-  rt_points : int; (* block points instrumented *)
-  rt_counter : int64; (* probe count observed in the rewritten run *)
-  rt_diffs : string list; (* divergences; empty = transparent *)
-  rt_notes : string list; (* expected differences (e.g. observed time) *)
-}
+   nonzero, so a silently-dropped instrumentation pass cannot pass.  A
+   case id is `roundtrip:MUTATEE`. *)
 
 (* A mutatee that reads the cycle CSR (clock_ns) observes architecturally
    visible state that instrumentation legitimately changes — on real
@@ -43,12 +36,12 @@ let read_region mem base size =
   Bytes.init size (fun i ->
       Char.chr (Rvsim.Mem.read8 mem (Int64.add base (Int64.of_int i))))
 
-let check ?(max_steps = 20_000_000) ?(reads_clock = false) ~name (src : string)
-    : result =
-  let compiled = Minicc.Driver.compile src in
-  let p_o = Rvsim.Loader.load compiled.Minicc.Driver.image in
+let check name : Diffkit.outcome =
+  let max_steps = 20_000_000 in
+  let image = Diffkit.builtin name in
+  let p_o = Rvsim.Loader.load image in
   let stop_o, out_o = Rvsim.Loader.run ~max_steps p_o in
-  let binary = Core.open_image compiled.Minicc.Driver.image in
+  let binary = Core.open_image image in
   let m = Core.create_mutator binary in
   let probe = Core.create_counter m "rvcheck_probe" in
   let points =
@@ -64,15 +57,16 @@ let check ?(max_steps = 20_000_000) ?(reads_clock = false) ~name (src : string)
     Rvsim.Mem.read64 p_i.Rvsim.Loader.machine.Rvsim.Machine.mem
       probe.Codegen_api.Snippet.v_addr
   in
-  let diffs = ref [] and notes = ref [] in
+  let diffs = ref [] in
+  let notes = ref [ Printf.sprintf "%d points, probe=%Ld" (List.length points) counter ] in
   let push fmt = Printf.ksprintf (fun s -> diffs := s :: !diffs) fmt in
-  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
+  let note fmt = Printf.ksprintf (fun s -> notes := !notes @ [ s ]) fmt in
   let stop_str s = Format.asprintf "%a" Rvsim.Machine.pp_stop s in
   if stop_o <> stop_i then
     push "stop differs: original %s, instrumented %s" (stop_str stop_o)
       (stop_str stop_i);
   if out_o <> out_i then
-    if reads_clock then
+    if reads_clock name then
       note "stdout differs as expected (mutatee observes the cycle CSR): %S vs %S"
         (String.trim out_o) (String.trim out_i)
     else push "stdout differs: original %S, instrumented %S" out_o out_i;
@@ -94,30 +88,16 @@ let check ?(max_steps = 20_000_000) ?(reads_clock = false) ~name (src : string)
           (Char.code (Bytes.get a !i))
           (Char.code (Bytes.get b !i))
       end)
-    (data_sections compiled.Minicc.Driver.image);
-  if counter = 0L && points <> [] then
-    push "probe counter is zero: instrumentation never executed";
+    (data_sections image);
+  if counter = 0L then push "probe counter is zero: instrumentation never executed";
+  { Diffkit.diffs = List.rev !diffs; notes = !notes; tags = [] }
+
+let cases mutatees = List.map (( ^ ) "roundtrip:") mutatees
+
+let leg =
   {
-    rt_name = name;
-    rt_points = List.length points;
-    rt_counter = counter;
-    rt_diffs = List.rev !diffs;
-    rt_notes = List.rev !notes;
+    Diffkit.name = "roundtrip";
+    run =
+      (fun ~verbose:_ -> function
+        | [ name ] -> check name | _ -> raise Diffkit.Bad_case);
   }
-
-let check_builtin ?max_steps name =
-  match List.assoc_opt name Minicc.Programs.builtins with
-  | Some src ->
-      check ?max_steps ~reads_clock:(reads_clock name) ~name (Lazy.force src)
-  | None -> invalid_arg ("Roundtrip.check_builtin: unknown mutatee " ^ name)
-
-let pp_result fmt (r : result) =
-  if r.rt_diffs = [] then
-    Format.fprintf fmt "%-8s transparent (%d points, probe=%Ld)@." r.rt_name
-      r.rt_points r.rt_counter
-  else begin
-    Format.fprintf fmt "%-8s NOT transparent (%d points, probe=%Ld)@." r.rt_name
-      r.rt_points r.rt_counter;
-    List.iter (fun d -> Format.fprintf fmt "  %s@." d) r.rt_diffs
-  end;
-  List.iter (fun n -> Format.fprintf fmt "  note: %s@." n) r.rt_notes

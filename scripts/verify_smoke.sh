@@ -11,12 +11,14 @@
 #      error
 #   3. exit-code convention: unreadable inputs exit 2 (the rvdump
 #      --json convention), for missing files as well as malformed
-#      manifests — regression for the Arg.file 124 leak
+#      manifests — regression for the Arg.file 124 leak; rvcheck's bad
+#      arguments (a count below its floor, an unknown mutatee or case
+#      id) exit 2 the same way, before any sweep runs
 #
 # Run via `make verify-smoke` (part of `make check`).
 set -eu
 
-dune build bin/rvlint.exe bin/rvrewrite.exe bin/mkmutatee.exe
+dune build bin/rvlint.exe bin/rvrewrite.exe bin/mkmutatee.exe bin/rvcheck.exe
 B=_build/default/bin
 DIR=$(mktemp -d)
 cleanup() { rm -rf "$DIR"; }
@@ -69,5 +71,13 @@ expect_rc 2 "$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
 expect_rc 2 "$B/rvlint.exe" verify "$DIR/no_such.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/m.json"
 expect_rc 2 "$B/rvlint.exe" lint "$DIR/no_such.elf"
+expect_rc 2 "$B/rvcheck.exe" lockstep --count=0
+expect_rc 2 "$B/rvcheck.exe" lockstep --count=-3
+expect_rc 2 "$B/rvcheck.exe" engine --seeds=-1
+expect_rc 2 "$B/rvcheck.exe" engine --len=-5
+expect_rc 2 "$B/rvcheck.exe" parsediff --seeds=-1
+expect_rc 2 "$B/rvcheck.exe" roundtrip --mutatee no_such
+expect_rc 2 "$B/rvcheck.exe" replay no_such:1
+expect_rc 2 "$B/rvcheck.exe" replay engine:no_such:plain
 
 echo "verify-smoke: ok"

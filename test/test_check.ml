@@ -1,9 +1,11 @@
-(* rvcheck (the differential correctness harness) under test: the
-   lockstep oracle over fuzzed instruction streams, the exhaustive
-   compressed-decoder sweep, and the rewrite round-trip checker.  These
-   are the same entry points `rvcheck` and `make fuzz-smoke` drive; the
-   suite pins the zero-divergence property into the tier-1 tests with a
-   smaller case count. *)
+(* rvcheck (the differential correctness harness) under test: every
+   Diffkit leg (the lockstep oracle over fuzzed instruction streams, the
+   block engine against the interpreter, the parallel parser against
+   its oracles, the rewrite round-trip), the exhaustive
+   compressed-decoder sweep, and Diffkit's own reporting and replay on
+   a deliberately wrong leg.  These are the same entry points `rvcheck`
+   and `make fuzz-smoke` drive; the suite pins the zero-divergence
+   property into the tier-1 tests with smaller case counts. *)
 
 open Check_api
 
@@ -43,37 +45,113 @@ let test_fuzz_determinism () =
 
 (* --- the lockstep oracle ----------------------------------------------------- *)
 
+(* A clean sweep: every case ran, none diverged (the first failure's
+   report is the error message). *)
+let check_clean name ~cases (s : Diffkit.summary) =
+  (match s.Diffkit.failures with
+  | [] -> ()
+  | _ -> Alcotest.failf "%a" (Diffkit.pp_summary ~verbose:false) s);
+  checki (name ^ ": all cases ran") cases s.Diffkit.cases;
+  checki (name ^ ": no divergences") 0 s.Diffkit.failed
+
 let test_lockstep_sweep () =
   (* the tier-1 pin of the tentpole property: a few thousand fuzzed
      cases, zero divergences between rvsim and the Sail IR evaluator.
      `rvcheck lockstep` runs the same sweep at 10k+. *)
-  let stats = Oracle.sweep ~seed:0x5EEDL ~count:3000 () in
-  checki "all cases ran" 3000 stats.Oracle.s_total;
-  (match stats.Oracle.s_divergences with
-  | [] -> ()
-  | r :: _ ->
-      Alcotest.failf "divergence: %s (%s)"
-        (Format.asprintf "%a" Oracle.pp_report r)
-        (Oracle.reproducer r));
-  checki "no divergences" 0 stats.Oracle.s_diverged;
+  let s = Diffkit.sweep Oracle.leg (Oracle.cases ~seed:0x5EEDL ~count:3000) in
+  check_clean "lockstep" ~cases:3000 s;
   (* the generator is actually exercising the interesting corners *)
   checkb
-    (Printf.sprintf "compressed cases present (%d)" stats.Oracle.s_compressed)
+    (Printf.sprintf "compressed cases present (%d)" (Diffkit.count s "compressed"))
     true
-    (stats.Oracle.s_compressed > 300);
+    (Diffkit.count s "compressed" > 300);
   checkb
-    (Printf.sprintf "opcode diversity (%d)" (List.length stats.Oracle.s_ops))
+    (Printf.sprintf "opcode diversity (%d)" (Diffkit.distinct s "op"))
     true
-    (List.length stats.Oracle.s_ops > 100);
+    (Diffkit.distinct s "op" > 100);
   checkb "some agreed faults (both sides refuse)" true
-    (stats.Oracle.s_agree_fault > 0)
+    (Diffkit.count s "agree-fault" > 0);
+  checki "agree + agree-fault = cases" 3000
+    (Diffkit.count s "agree" + Diffkit.count s "agree-fault")
 
 let test_check_replay () =
-  (* check ~seed ~index is deterministic and reports the decoded insn *)
-  let r1 = Oracle.check ~seed:42L ~index:7 in
-  let r2 = Oracle.check ~seed:42L ~index:7 in
-  checkb "same outcome on replay" true (r1.Oracle.r_outcome = r2.Oracle.r_outcome);
-  checkb "insn decoded" true (r1.Oracle.r_decoded <> None)
+  (* a case id is deterministic and the replay reports the decoded insn
+     and the pre-state *)
+  let r1 = Diffkit.replay [ Oracle.leg ] "lockstep:42:7" in
+  let r2 = Diffkit.replay [ Oracle.leg ] "lockstep:42:7" in
+  checkb "same outcome on replay" true (r1 = r2);
+  checkb "insn decoded" true
+    (List.exists (fun t -> String.starts_with ~prefix:"op=" t) r1.Diffkit.tags);
+  checkb "pre-state noted" true
+    (List.exists (fun n -> String.starts_with ~prefix:"pre " n) r1.Diffkit.notes)
+
+(* --- the engine and parse legs ----------------------------------------------- *)
+
+let test_engine_sweep () =
+  (* fib and the self-modifying mutatee under all four observability
+     modes, plus two seeded straight-line programs *)
+  let ids = Enginediff.cases ~mutatees:[ "fib" ] ~seeds:2 () in
+  check_clean "engine" ~cases:16 (Diffkit.sweep Enginediff.leg ids)
+
+let test_parse_sweep () =
+  (* fib against the sequential reference and two adversarial streams
+     against domains=1, each at 1/2/4/8 domains *)
+  let ids = Parsediff.cases ~mutatees:[ "fib" ] ~seeds:2 in
+  check_clean "parse" ~cases:12 (Diffkit.sweep Parsediff.leg ids)
+
+(* --- Diffkit on a deliberately wrong leg ------------------------------------- *)
+
+(* The block engine with x5 perturbed after its run: every case must
+   diverge, be reported under its id, and replay to the same diffs. *)
+let wrong_engine =
+  {
+    Diffkit.name = "wrong-engine";
+    run =
+      (fun ~verbose:_ -> function
+        | [ name ] ->
+            let image = Diffkit.builtin name in
+            let run engine =
+              let m = (Rvsim.Loader.load image).Rvsim.Loader.machine in
+              ignore
+                (match engine with
+                | `Interp -> Rvsim.Machine.run_interp m
+                | `Block -> Rvsim.Bbcache.run m);
+              m
+            in
+            let a = run `Interp and b = run `Block in
+            b.Rvsim.Machine.regs.(5) <- Int64.add b.Rvsim.Machine.regs.(5) 1L;
+            let diffs = Diffkit.machines ~a:"interp" ~b:"block" a b in
+            { Diffkit.diffs; notes = []; tags = [] }
+        | _ -> raise Diffkit.Bad_case);
+  }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_diffkit_wrong_leg () =
+  let s = Diffkit.sweep wrong_engine [ "wrong-engine:fib" ] in
+  checki "one case" 1 s.Diffkit.cases;
+  checki "it diverged" 1 s.Diffkit.failed;
+  match s.Diffkit.failures with
+  | [ (id, o) ] ->
+      Alcotest.(check string) "reported under its id" "wrong-engine:fib" id;
+      checkb "the perturbed register is the diff" true
+        (match o.Diffkit.diffs with
+        | [ d ] -> String.starts_with ~prefix:"x5: interp " d
+        | _ -> false);
+      let report = Format.asprintf "%a" (Diffkit.pp_summary ~verbose:false) s in
+      checkb "report ends in a replay line" true
+        (contains report "reproduce: rvcheck replay wrong-engine:fib");
+      Alcotest.(check (list string))
+        "replay gives the same diffs" o.Diffkit.diffs
+        (Diffkit.replay [ wrong_engine ] id).Diffkit.diffs;
+      checkb "a malformed id is rejected" true
+        (match Diffkit.replay [ wrong_engine ] "wrong-engine:nosuch" with
+        | _ -> false
+        | exception Diffkit.Bad_case -> true)
+  | _ -> Alcotest.fail "expected exactly one reported failure"
 
 (* --- the exhaustive compressed-decoder sweep --------------------------------- *)
 
@@ -95,29 +173,17 @@ let test_decoder_sweep () =
 (* --- the rewrite round-trip -------------------------------------------------- *)
 
 let test_roundtrip_transparent () =
-  List.iter
-    (fun name ->
-      let r = Roundtrip.check_builtin name in
-      (match r.Roundtrip.rt_diffs with
-      | [] -> ()
-      | d :: _ ->
-          Alcotest.failf "%s not transparent: %s" r.Roundtrip.rt_name d);
-      checkb
-        (Printf.sprintf "%s instrumented some points" name)
-        true
-        (r.Roundtrip.rt_points > 0);
-      checkb
-        (Printf.sprintf "%s probe fired (%Ld)" name r.Roundtrip.rt_counter)
-        true
-        (Int64.compare r.Roundtrip.rt_counter 0L > 0))
-    [ "fib"; "calls" ]
+  (* transparent, and the probe fired: a zero probe count is a diff *)
+  let s = Diffkit.sweep Roundtrip.leg (Roundtrip.cases [ "fib"; "calls" ]) in
+  check_clean "roundtrip" ~cases:2 s
 
 let test_roundtrip_clock_note () =
   (* matmul reads the cycle CSR: its stdout legitimately observes the
      instrumentation overhead, which must land as a note, not a diff *)
-  let r = Roundtrip.check_builtin "matmul" in
-  checkb "matmul transparent modulo time" true (r.Roundtrip.rt_diffs = []);
-  checkb "observed-time note recorded" true (r.Roundtrip.rt_notes <> [])
+  let r = Diffkit.replay [ Roundtrip.leg ] "roundtrip:matmul" in
+  checkb "matmul transparent modulo time" true (r.Diffkit.diffs = []);
+  checkb "observed-time note recorded" true
+    (List.exists (fun n -> contains n "differs as expected") r.Diffkit.notes)
 
 let () =
   Alcotest.run "check"
@@ -132,6 +198,21 @@ let () =
           Alcotest.test_case "sweep: zero divergences" `Quick
             test_lockstep_sweep;
           Alcotest.test_case "replay determinism" `Quick test_check_replay;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "fib + 2 seeds: zero divergences" `Quick
+            test_engine_sweep;
+        ] );
+      ( "parse",
+        [
+          Alcotest.test_case "fib + 2 seeds: zero divergences" `Quick
+            test_parse_sweep;
+        ] );
+      ( "diffkit",
+        [
+          Alcotest.test_case "wrong leg reported and replayed" `Quick
+            test_diffkit_wrong_leg;
         ] );
       ( "decoder",
         [ Alcotest.test_case "exhaustive halfword sweep" `Quick test_decoder_sweep ] );
