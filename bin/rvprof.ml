@@ -40,12 +40,8 @@ let config_of period cost max_frames events =
     events;
   }
 
-let run_profile stats trace_out mutatee period cost max_frames events =
-  if stats then Dyn_util.Stats.enable ();
-  if trace_out <> None then begin
-    Dyn_util.Stats.enable ();
-    Dyn_obs.Trace.set_enabled true
-  end;
+let run_profile telemetry mutatee period cost max_frames events =
+  Telemetry.start telemetry;
   let binary = load_binary mutatee in
   let config = config_of period cost max_frames events in
   let r = Perf_api.Profiler.profile ~config binary in
@@ -55,24 +51,10 @@ let run_profile stats trace_out mutatee period cost max_frames events =
     Format.printf "stdout: %s@." (String.trim r.Perf_api.Profiler.r_stdout);
   (binary, config, r)
 
-let finish stats trace_out =
-  if stats then begin
-    Rvsim.Bbcache.note_stats ();
-    Dyn_util.Stats.report ()
-  end;
-  match trace_out with
-  | None -> ()
-  | Some path ->
-      Dyn_obs.Trace.write_out path;
-      Format.printf "wrote trace %s@." path
-
 (* --- profile: the flat table (+ optional cross-validation) ------------------ *)
 
-let profile_cmd_run mutatee period cost max_frames events top validate stats
-    trace_out =
-  let binary, config, r =
-    run_profile stats trace_out mutatee period cost max_frames events
-  in
+let profile_cmd_run mutatee period cost max_frames events top validate telemetry =
+  let binary, config, r = run_profile telemetry mutatee period cost max_frames events in
   Format.printf "@.%a" (Perf_api.Report.pp_flat ~n:top) r;
   if validate then begin
     let v = Perf_api.Validate.validate ~config binary in
@@ -80,25 +62,20 @@ let profile_cmd_run mutatee period cost max_frames events top validate stats
       Perf_api.Validate.pp v;
     if not v.Perf_api.Validate.v_agree then exit 1
   end;
-  finish stats trace_out
+  Telemetry.finish telemetry
 
 (* --- report: the calling-context tree --------------------------------------- *)
 
-let report_cmd_run mutatee period cost max_frames events min_samples stats
-    trace_out =
-  let _, _, r =
-    run_profile stats trace_out mutatee period cost max_frames events
-  in
+let report_cmd_run mutatee period cost max_frames events min_samples telemetry =
+  let _, _, r = run_profile telemetry mutatee period cost max_frames events in
   Format.printf "@.== calling-context tree ==@.%a"
     (Perf_api.Report.pp_cct ~min_samples) r;
-  finish stats trace_out
+  Telemetry.finish telemetry
 
 (* --- flame: folded stacks ---------------------------------------------------- *)
 
-let flame_cmd_run mutatee period cost max_frames events out stats trace_out =
-  let _, _, r =
-    run_profile stats trace_out mutatee period cost max_frames events
-  in
+let flame_cmd_run mutatee period cost max_frames events out telemetry =
+  let _, _, r = run_profile telemetry mutatee period cost max_frames events in
   let text = Perf_api.Report.folded_string r in
   (match out with
   | None -> Format.printf "@.%s" text
@@ -108,7 +85,7 @@ let flame_cmd_run mutatee period cost max_frames events out stats trace_out =
       close_out oc;
       Format.printf "folded stacks written to %s (%d lines)@." path
         (List.length (String.split_on_char '\n' (String.trim text))));
-  finish stats trace_out
+  Telemetry.finish telemetry
 
 (* --- argument plumbing -------------------------------------------------------- *)
 
@@ -162,40 +139,26 @@ let out_arg =
     & opt (some string) None
     & info [ "out" ] ~docv:"FILE" ~doc:"write folded stacks to FILE")
 
-let stats_arg =
-  Arg.(value & flag & info [ "stats" ] ~doc:"report toolkit self-telemetry")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "write a span trace of the toolkit itself (Chrome trace-event \
-           JSON; NDJSON if FILE ends in .ndjson)")
-
 let profile_cmd =
   Cmd.v
     (Cmd.info "profile" ~doc:"flat per-function profile")
     Term.(
       const profile_cmd_run $ mutatee_arg $ period_arg $ cost_arg
-      $ max_frames_arg $ events_arg $ top_arg $ validate_arg $ stats_arg
-      $ trace_out_arg)
+      $ max_frames_arg $ events_arg $ top_arg $ validate_arg $ Telemetry.term)
 
 let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"calling-context tree dump")
     Term.(
       const report_cmd_run $ mutatee_arg $ period_arg $ cost_arg
-      $ max_frames_arg $ events_arg $ min_samples_arg $ stats_arg
-      $ trace_out_arg)
+      $ max_frames_arg $ events_arg $ min_samples_arg $ Telemetry.term)
 
 let flame_cmd =
   Cmd.v
     (Cmd.info "flame" ~doc:"folded flame-graph stacks")
     Term.(
       const flame_cmd_run $ mutatee_arg $ period_arg $ cost_arg
-      $ max_frames_arg $ events_arg $ out_arg $ stats_arg $ trace_out_arg)
+      $ max_frames_arg $ events_arg $ out_arg $ Telemetry.term)
 
 let cmd =
   Cmd.group

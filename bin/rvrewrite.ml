@@ -7,14 +7,9 @@
 
 open Cmdliner
 
-let rewrite input output entries blocks exits verbose stats trace_out
-    manifest_out domains =
-  if stats then Dyn_util.Stats.enable ();
-  if trace_out <> None then begin
-    (* span tracing rides on the Stats spans, so enable both *)
-    Dyn_util.Stats.enable ();
-    Dyn_obs.Trace.set_enabled true
-  end;
+let rewrite input output entries blocks exits verbose telemetry manifest_out
+    domains =
+  Telemetry.start telemetry;
   let binary = Core.open_file ~domains input in
   let m = Core.create_mutator binary in
   let n = ref 0 in
@@ -58,15 +53,7 @@ let rewrite input output entries blocks exits verbose stats trace_out
         Printf.printf "  springboard 0x%Lx: %s\n" addr
           (Patch_api.Rewriter.strategy_name strat))
       s.Patch_api.Rewriter.strategies;
-  if stats then begin
-    Rvsim.Bbcache.note_stats ();
-    Dyn_util.Stats.report ()
-  end;
-  match trace_out with
-  | None -> ()
-  | Some path ->
-      Dyn_obs.Trace.write_out path;
-      Printf.printf "wrote trace %s\n" path
+  Telemetry.finish telemetry
 
 let input_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"IN" ~doc:"input binary")
@@ -84,18 +71,6 @@ let exits_arg =
   Arg.(value & opt_all string [] & info [ "exits" ] ~doc:"count returns of FUNC")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"show springboards")
-
-let stats_arg =
-  Arg.(value & flag & info [ "stats" ] ~doc:"report toolkit self-telemetry")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "write a span trace (Chrome trace-event JSON; NDJSON if FILE \
-           ends in .ndjson)")
 
 let manifest_arg =
   Arg.(
@@ -116,7 +91,6 @@ let cmd =
     (Cmd.info "rvrewrite" ~doc:"statically instrument a RISC-V binary")
     Term.(
       const rewrite $ input_arg $ output_arg $ entries_arg $ blocks_arg
-      $ exits_arg $ verbose_arg $ stats_arg $ trace_out_arg $ manifest_arg
-      $ domains_arg)
+      $ exits_arg $ verbose_arg $ Telemetry.term $ manifest_arg $ domains_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -27,12 +27,8 @@ let load_binary mutatee =
 let known_reports = [ "coverage"; "edges"; "calltree"; "mem"; "all" ]
 
 let run mutatee funcs no_blocks calls returns mem capacity reports out verbose
-    stats trace_out =
-  if stats then Dyn_util.Stats.enable ();
-  if trace_out <> None then begin
-    Dyn_util.Stats.enable ();
-    Dyn_obs.Trace.set_enabled true
-  end;
+    telemetry =
+  Telemetry.start telemetry;
   (match List.filter (fun r -> not (List.mem r known_reports)) reports with
   | [] -> ()
   | bad ->
@@ -103,15 +99,7 @@ let run mutatee funcs no_blocks calls returns mem capacity reports out verbose
       Format.printf "@.raw trace written to %s@." path);
   if verbose then
     List.iter (fun r -> Format.printf "%a@." Trace_api.Record.pp r) records;
-  if stats then begin
-    Rvsim.Bbcache.note_stats ();
-    Dyn_util.Stats.report ()
-  end;
-  match trace_out with
-  | None -> ()
-  | Some path ->
-      Dyn_obs.Trace.write_out path;
-      Format.printf "wrote trace %s@." path
+  Telemetry.finish telemetry
 
 let mutatee_arg =
   Arg.(
@@ -158,18 +146,6 @@ let out_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"dump every record")
 
-let stats_arg =
-  Arg.(value & flag & info [ "stats" ] ~doc:"report toolkit self-telemetry")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "write a span trace of the toolkit itself (Chrome trace-event \
-           JSON; NDJSON if FILE ends in .ndjson)")
-
 let cmd =
   Cmd.v
     (Cmd.info "rvtrace"
@@ -177,6 +153,6 @@ let cmd =
     Term.(
       const run $ mutatee_arg $ funcs_arg $ no_blocks_arg $ calls_arg
       $ returns_arg $ mem_arg $ ring_arg $ report_arg $ out_arg $ verbose_arg
-      $ stats_arg $ trace_out_arg)
+      $ Telemetry.term)
 
 let () = exit (Cmd.eval cmd)

@@ -22,19 +22,22 @@ type binary = { symtab : Symtab.t; cfg : Cfg.t }
 
 exception Not_found_error of string
 
+module Trace = Dyn_obs.Trace
+
 let open_image ?gap_parsing ?domains (img : Elfkit.Types.image) : binary =
-  let symtab = Dyn_util.Stats.span "parse:symtab" (fun () -> Symtab.of_image img) in
+  let symtab = Trace.with_span "symtab.build" (fun () -> Symtab.of_image img) in
   let cfg =
-    Dyn_util.Stats.span "parse:cfg" (fun () ->
-        Parser.parse ?gap_parsing ?domains symtab)
+    Trace.with_span "parse.cfg" (fun () -> Parser.parse ?gap_parsing ?domains symtab)
   in
   { symtab; cfg }
 
 let open_bytes ?gap_parsing ?domains b =
-  open_image ?gap_parsing ?domains (Elfkit.Read.read b)
+  open_image ?gap_parsing ?domains
+    (Trace.with_span "elf.read" (fun () -> Elfkit.Read.read b))
 
 let open_file ?gap_parsing ?domains path =
-  open_image ?gap_parsing ?domains (Elfkit.Read.of_file path)
+  open_image ?gap_parsing ?domains
+    (Trace.with_span "elf.read" (fun () -> Elfkit.Read.of_file path))
 
 let image (b : binary) = b.symtab.Symtab.image
 let profile (b : binary) = Symtab.profile b.symtab
@@ -71,7 +74,10 @@ let create_counter (m : mutator) name = Patch_api.Rewriter.allocate_var m.rw nam
 let create_var (m : mutator) name size = Patch_api.Rewriter.allocate_var m.rw name size
 let insert (m : mutator) p stmts = Patch_api.Rewriter.insert m.rw p stmts
 let rewrite (m : mutator) : Elfkit.Types.image = Patch_api.Rewriter.rewrite m.rw
-let rewrite_to_file (m : mutator) path = Elfkit.Write.to_file path (rewrite m)
+let rewrite_to_file (m : mutator) path =
+  let img = rewrite m in
+  Trace.with_span "elf.write" (fun () -> Elfkit.Write.to_file path img)
+
 let stats (m : mutator) = Patch_api.Rewriter.stats m.rw
 let manifest (m : mutator) = Patch_api.Rewriter.manifest m.rw
 

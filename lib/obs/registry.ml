@@ -26,8 +26,8 @@
    live so paired add/sub bookkeeping (queue depth) cannot go lopsided
    across a toggle.
 
-   This library sits *below* Dyn_util (Dyn_util.Stats is a compat shim
-   over it), so it depends on nothing but unix. *)
+   The registry itself depends on nothing but unix; the library's
+   tracer uses Dyn_util's JSON escaper. *)
 
 let n_shards = 16
 let shard_mask = n_shards - 1

@@ -159,30 +159,12 @@ let log ?(level = Info) ?(fields = []) msg =
 
 (* --- export ---------------------------------------------------------------- *)
 
-(* Local JSON string escaping: this library sits below Dyn_util so it
-   cannot use Jsonw; the escapes match it byte for byte. *)
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let add_kv buf k v =
-  escape_to buf k;
+  Dyn_util.Jsonw.escape_to buf k;
   Buffer.add_char buf ':';
   v buf
 
-let str s buf = escape_to buf s
+let str s buf = Dyn_util.Jsonw.escape_to buf s
 let int i buf = Buffer.add_string buf (string_of_int i)
 
 let add_args buf args =
@@ -265,6 +247,42 @@ let ndjson () : string =
       Buffer.add_string buf "}\n")
     evs;
   Buffer.contents buf
+
+(* The --stats view: total time and call count per span name, folded
+   from the ring in first-start order, then every nonzero registry row.
+   It reads the same events as [write_out], so the two cannot disagree. *)
+let pp_stats fmt () =
+  let totals = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun ev ->
+      if ev.ev_level = "span" then
+        match Hashtbl.find_opt totals ev.ev_name with
+        | Some (ns, n) -> Hashtbl.replace totals ev.ev_name (ns + ev.ev_dur_ns, n + 1)
+        | None ->
+            order := ev.ev_name :: !order;
+            Hashtbl.replace totals ev.ev_name (ev.ev_dur_ns, 1))
+    (List.stable_sort (fun a b -> compare a.ev_ts_ns b.ev_ts_ns) (events ()));
+  Format.fprintf fmt "== toolkit stats ==@\n";
+  List.iter
+    (fun name ->
+      let ns, n = Hashtbl.find totals name in
+      Format.fprintf fmt "  %-24s %10.3f ms  (%d call%s)@\n" name
+        (float_of_int ns /. 1e6) n
+        (if n = 1 then "" else "s"))
+    (List.rev !order);
+  if dropped () > 0 then
+    Format.fprintf fmt "  (%d events dropped from the trace ring)@\n" (dropped ());
+  List.iter
+    (fun { Registry.r_name; r_value } ->
+      match r_value with
+      | Registry.Counter_v n | Registry.Gauge_v n ->
+          if n <> 0 then Format.fprintf fmt "  %-24s %10d@\n" r_name n
+      | Registry.Histogram_v hv ->
+          if hv.Registry.hv_count > 0 then
+            Format.fprintf fmt "  %-24s %10.3f ms  (%d observed)@\n" r_name
+              (float_of_int hv.Registry.hv_sum_ns /. 1e6)
+              hv.Registry.hv_count)
+    (Registry.snapshot ())
 
 let write_file path s =
   let oc = open_out_bin path in

@@ -52,8 +52,10 @@ val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Leveled instant event ([Info] by default). *)
 val log : ?level:level -> ?fields:(string * string) list -> string -> unit
 
-(** Current span stack top, [""] at root (used by the Stats shim). *)
-val parent : unit -> string
+(** Per span name, total ms and call count folded from {!events}
+    (with the dropped count when nonzero), then the nonzero
+    {!Registry} rows: what the CLIs' [--stats] prints. *)
+val pp_stats : Format.formatter -> unit -> unit
 
 val chrome_json : unit -> string
 val ndjson : unit -> string

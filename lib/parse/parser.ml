@@ -41,6 +41,8 @@ module Trace = Dyn_obs.Trace
 let m_tasks = Obs.counter "parse.tasks"
 let m_steals = Obs.counter "parse.steals"
 let m_rounds = Obs.counter "parse.rounds"
+let m_functions = Obs.counter "parse.functions"
+let m_blocks = Obs.counter "parse.blocks"
 let h_merge = Obs.histogram "parse.merge_ns"
 
 (* ------------------------------------------------------------------ *)
@@ -908,7 +910,7 @@ let drain_rounds ~workers g =
     refresh_snapshot g;
     Obs.incr m_rounds;
     let partials =
-      Dyn_util.Stats.span "parse:tasks" (fun () ->
+      Trace.with_span "parse.round" (fun () ->
           run_tasks ~workers g.img g.base_entries g.entry_tbl pending)
     in
     let t0 = Trace.now_ns () in
@@ -928,7 +930,7 @@ let drain_rounds ~workers g =
      across domain counts. *)
   if !rounds_here = 0 then ()
   else if !rounds_here = 1 && funcs_before = 0 && not g.merge_dirty then ()
-  else Dyn_util.Stats.span "parse:membership" (fun () -> recompute_membership g)
+  else Trace.with_span "parse.membership" (fun () -> recompute_membership g)
 
 (* --- gap parsing: prologue heuristic over uncovered code bytes --- *)
 
@@ -1050,9 +1052,9 @@ let parse ?(gap_parsing = true) ?(domains = 1) ?(oversubscribe = false)
       if Symtab.is_code_addr symtab s.Elfkit.Types.sym_value then
         add_entry g s.Elfkit.Types.sym_value)
     (Symtab.functions symtab);
-  Dyn_util.Stats.span "parse:traverse" (fun () -> drain_rounds ~workers g);
+  Trace.with_span "parse.traverse" (fun () -> drain_rounds ~workers g);
   if gap_parsing then
-    Dyn_util.Stats.span "parse:gaps" (fun () ->
+    Trace.with_span "parse.gaps" (fun () ->
         (* iterate: parsing a gap function may expose further gaps *)
         let rec go rounds =
           if rounds > 16 then ()
@@ -1070,7 +1072,7 @@ let parse ?(gap_parsing = true) ?(domains = 1) ?(oversubscribe = false)
             end
         in
         go 0);
-  Dyn_util.Stats.span "parse:refine" (fun () ->
+  Trace.with_span "parse.refine" (fun () ->
       let rec refine_rounds n =
         if n < 4 && refine_indirects g cfg then begin
           drain_rounds ~workers g;
@@ -1079,6 +1081,6 @@ let parse ?(gap_parsing = true) ?(domains = 1) ?(oversubscribe = false)
       in
       refine_rounds 0);
   Cfg.freeze cfg ~entries:g.base_entries;
-  Dyn_util.Stats.incr ~by:(Hashtbl.length cfg.funcs) "parse:functions";
-  Dyn_util.Stats.incr ~by:(Hashtbl.length cfg.blocks) "parse:blocks";
+  Obs.incr ~by:(Hashtbl.length cfg.funcs) m_functions;
+  Obs.incr ~by:(Hashtbl.length cfg.blocks) m_blocks;
   cfg

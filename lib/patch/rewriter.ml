@@ -17,6 +17,11 @@ open Dataflow_api
 let src = Logs.Src.create "patch_api"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Obs = Dyn_obs.Registry
+module Trace = Dyn_obs.Trace
+
+let m_points = Obs.counter "patch.points"
+let m_springboards = Obs.counter "patch.springboards"
 
 exception Patch_error of string
 
@@ -294,8 +299,7 @@ let liveness_of t cache (b : Cfg.block) =
       | Some lv -> Some lv
       | None ->
           let lv =
-            Dyn_util.Stats.span "analyze:liveness" (fun () ->
-                Liveness.analyze t.cfg f)
+            Trace.with_span "patch.liveness" (fun () -> Liveness.analyze t.cfg f)
           in
           Hashtbl.replace cache f.Cfg.f_entry lv;
           Some lv)
@@ -524,11 +528,10 @@ let apply_to_image (t : t) (pl : plan) : Elfkit.Types.image =
   }
 
 let rewrite (t : t) : Elfkit.Types.image =
-  let pl = Dyn_util.Stats.span "codegen:plan" (fun () -> plan t) in
-  let img = Dyn_util.Stats.span "rewrite:apply" (fun () -> apply_to_image t pl) in
-  Dyn_util.Stats.incr ~by:t.stats.n_points "rewrite:points";
-  Dyn_util.Stats.incr ~by:(List.length t.stats.strategies)
-    "rewrite:springboards";
+  let pl = Trace.with_span "patch.plan" (fun () -> plan t) in
+  let img = Trace.with_span "patch.apply" (fun () -> apply_to_image t pl) in
+  Obs.incr ~by:t.stats.n_points m_points;
+  Obs.incr ~by:(List.length t.stats.strategies) m_springboards;
   img
 
 let stats t = t.stats

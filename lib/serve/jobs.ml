@@ -49,11 +49,6 @@ let job_hist kind =
   Mutex.unlock hist_mu;
   h
 
-(* Span helper: a real Trace span when tracing is on, a plain call
-   otherwise — payload bytes and cache keys never depend on it. *)
-let tspan ?args name f =
-  if Trace.is_enabled () then Trace.with_span ?args name f else f ()
-
 let read_file path : Bytes.t =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -271,13 +266,13 @@ let exec ?stat ?domains (cache : Cache.t) (req : Wire.request) :
       resp
     in
     finish
-    @@ tspan
+    @@ Trace.with_span
          (Printf.sprintf "job:%s" kind)
          ~args:[ ("id", Int64.to_string req.Wire.rq_id) ]
          (fun () ->
            try
              let v, cached, hash =
-               tspan "cache-lookup" (fun () ->
+               Trace.with_span "cache-lookup" (fun () ->
                    let hash =
                      match stat with
                      | Some sc -> Statcache.hash sc req.Wire.rq_path
@@ -290,13 +285,13 @@ let exec ?stat ?domains (cache : Cache.t) (req : Wire.request) :
                    let v, cached =
                      Cache.get_or_compute cache ~key (fun () ->
                          let j =
-                           tspan "execute" (fun () ->
+                           Trace.with_span "execute" (fun () ->
                                let bytes = read_file req.Wire.rq_path in
                                let b = binary_for ?domains cache ~hash bytes in
                                payload_json b req.Wire.rq_action)
                          in
                          Cache.Payload
-                           (tspan "serialize" (fun () -> J.to_string j)))
+                           (Trace.with_span "serialize" (fun () -> J.to_string j)))
                    in
                    (v, cached, hash))
              in

@@ -53,8 +53,7 @@ let worker t i () =
       Obs.incr m_tasks;
       let t0 = Trace.now_ns () in
       Obs.observe h_wait (t0 - t_enq);
-      if Trace.is_enabled () then
-        Trace.complete ~parent:"" ~t0_ns:t_enq ~t1_ns:t0 "pool:wait";
+      Trace.complete ~parent:"" ~t0_ns:t_enq ~t1_ns:t0 "pool:wait";
       (try task () with _ -> ());
       Obs.incr ~by:(Trace.now_ns () - t0) busy;
       loop ()

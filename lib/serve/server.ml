@@ -188,12 +188,10 @@ let handle_conn t fd =
        (* the write span sits on the sender's track: a worker domain
           for job responses (nested under its job span), the reader
           thread for control responses *)
-       let write () =
-         output_string oc (Wire.encode_response resp);
-         output_char oc '\n';
-         flush oc
-       in
-       if Trace.is_enabled () then Trace.with_span "write" write else write ()
+       Trace.with_span "write" (fun () ->
+           output_string oc (Wire.encode_response resp);
+           output_char oc '\n';
+           flush oc)
      with Sys_error _ | Unix.Unix_error _ -> ());
     Mutex.unlock wmu
   in
@@ -276,7 +274,13 @@ let handle_conn t fd =
 
 let create ?(cache = Cache.create ()) (cfg : config) : t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if cfg.sc_trace_out <> None then Trace.set_enabled true;
+  if cfg.sc_trace_out <> None then begin
+    (* a cold job records its library spans (elf.read .. patch.apply)
+       under execute, about seven events a job on a mixed load: keep
+       2^18 events, some 35k jobs, before the oldest drop *)
+    Trace.set_capacity (1 lsl 18);
+    Trace.set_enabled true
+  end;
   if Sys.file_exists cfg.sc_socket then Unix.unlink cfg.sc_socket;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX cfg.sc_socket);

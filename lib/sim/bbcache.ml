@@ -86,19 +86,6 @@ let reset_stats () =
 
 let flushes () = !Machine.flush_counter - !flush_base
 
-(* Push the counters into the toolkit's self-telemetry (shown by the
-   tools' --stats flag; no-op unless Stats.enable was called). *)
-let note_stats () =
-  let open Dyn_util in
-  Stats.incr ~by:stats.st_translated "bbcache blocks translated";
-  Stats.incr ~by:stats.st_blocks "bbcache block executions";
-  Stats.incr ~by:stats.st_chain_hits "bbcache chain hits";
-  Stats.incr ~by:(flushes ()) "bbcache icache flushes";
-  Stats.incr ~by:stats.st_retrans "bbcache obs retranslations";
-  Stats.incr ~by:stats.st_timer_steps "bbcache timer-boundary insns";
-  Stats.incr ~by:stats.st_singles "bbcache single-stepped insns";
-  Stats.incr ~by:stats.st_evicted "bbcache blocks evicted"
-
 let pp_stats fmt () =
   Format.fprintf fmt
     "blocks translated %d, executed %d (chain hits %d), flushes %d, evicted %d, \

@@ -41,7 +41,4 @@ val reset_stats : unit -> unit
 (** {!Machine.flush_icache} invocations since start/reset. *)
 val flushes : unit -> int
 
-(** Push the counters into [Dyn_util.Stats] for the tools' --stats flag. *)
-val note_stats : unit -> unit
-
 val pp_stats : Format.formatter -> unit -> unit

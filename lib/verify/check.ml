@@ -19,8 +19,6 @@ let c_ok = Obs.counter "verify.sites_ok"
 let c_failed = Obs.counter "verify.sites_failed"
 let c_timeout = Obs.counter "verify.sites_timeout"
 
-let tspan name f = if Trace.is_enabled () then Trace.with_span name f else f ()
-
 (* Instruction fetch over the rewritten image: region lookup + decode,
    memoized (trampoline continuations re-walk the same span). *)
 let fetcher (rw : Symtab.t) : int64 -> Instruction.t option =
@@ -48,7 +46,7 @@ let check_manifest ?config ~orig:(_ : Symtab.t) (cfg : Parse_api.Cfg.t)
     List.map
       (fun e ->
         let site =
-          tspan "verify:symexec" (fun () ->
+          Trace.with_span "verify.site" (fun () ->
               Equiv.check_site ?config ~cfg ~manifest ~rw_code
                 ~tramp_hi:(span_end e) e)
         in

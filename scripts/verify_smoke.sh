@@ -4,7 +4,10 @@
 # corpus run in `rvlint smoke` (`make lint-smoke`), not here.
 #
 #   1. file-based round trip: rewrite fib on disk with a manifest, then
-#      `rvlint verify` must prove it (exit 0)
+#      `rvlint verify` must prove it (exit 0); the rewrite's --trace-out
+#      must hold the six static-rewrite layer spans (elf.read ..
+#      elf.write) and no colon-named library span, and its --stats must
+#      print the patch.plan row
 #   2. disproof exit code: with the manifest's `tramp` value bumped by
 #      4, `rvlint verify` must exit 1 and report both a structural
 #      (springboard-target) and a symbolic (symbolic-inequivalence)
@@ -27,9 +30,28 @@ trap cleanup EXIT INT TERM
 # file-based round trip: a healthy on-disk rewrite proves
 "$B/mkmutatee.exe" --builtin fib -o "$DIR/fib.elf" >/dev/null
 "$B/rvrewrite.exe" "$DIR/fib.elf" "$DIR/fib_rw.elf" \
-    --manifest "$DIR/m.json" --entry main >/dev/null
+    --manifest "$DIR/m.json" --entry main \
+    --stats --trace-out "$DIR/t.json" >"$DIR/rw.out"
 "$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/m.json" >/dev/null
+
+# the rewrite's trace names every static-rewrite layer with rvbench's
+# span names, no library span keeps an old colon name, and --stats
+# prints the same spans
+for span in elf.read symtab.build parse.cfg patch.plan patch.apply elf.write; do
+    if ! grep -q "\"name\":\"$span\"" "$DIR/t.json"; then
+        echo "verify-smoke: rvrewrite trace has no $span span" >&2
+        exit 1
+    fi
+done
+if grep -Eq '"name":"(parse|codegen|analyze|rewrite):' "$DIR/t.json"; then
+    echo "verify-smoke: rvrewrite trace has an old colon-named span" >&2
+    exit 1
+fi
+if ! grep -q '^  patch\.plan ' "$DIR/rw.out"; then
+    echo "verify-smoke: rvrewrite --stats printed no patch.plan row" >&2
+    exit 1
+fi
 
 expect_rc() {
     want=$1

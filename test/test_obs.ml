@@ -1,15 +1,15 @@
 (* Dyn_obs: histogram bucket boundaries, merge-at-scrape correctness
-   under domain concurrency, trace-export validity, the Stats shim's
-   domain safety, and the warm=cold payload contract with telemetry
-   switched on. *)
+   under domain concurrency, trace-export validity, the --stats view of
+   the trace, the daemon's span names, and the warm=cold payload
+   contract with telemetry switched on. *)
 
 module R = Dyn_obs.Registry
 module T = Dyn_obs.Trace
 module J = Dyn_util.Jsonw
-module Stats = Dyn_util.Stats
 module Cache = Serve_api.Cache
 module Wire = Serve_api.Wire
 module Jobs = Serve_api.Jobs
+module Pool = Serve_api.Pool
 
 (* --- histogram buckets --- *)
 
@@ -223,26 +223,52 @@ let test_trace_ring_bound () =
       | [] -> Alcotest.fail "empty ring"));
   T.set_capacity 65536
 
-(* --- the Stats shim is domain-safe --- *)
+(* --- the --stats view of the trace --- *)
 
-let test_stats_shim_domain_safety () =
-  Stats.enable ();
-  Stats.reset ();
-  hammer 4 (fun _ ->
-      for _ = 1 to 10_000 do
-        Stats.span "obs-race" (fun () -> Stats.incr "obs-race-n")
-      done);
-  (match R.find "obs-race" with
-  | Some { R.r_value = R.Histogram_v hv; _ } ->
-      Alcotest.(check int) "every span observed" 40_000 hv.R.hv_count
-  | _ -> Alcotest.fail "span histogram missing");
-  (match R.find "obs-race-n" with
-  | Some { R.r_value = R.Counter_v v; _ } ->
-      Alcotest.(check int) "every incr counted" 40_000 v
-  | _ -> Alcotest.fail "counter missing");
-  Stats.disable ()
+let count_spans name =
+  List.length
+    (List.filter (fun e -> e.T.ev_name = name && e.T.ev_level = "span") (T.events ()))
 
-(* --- warm = cold with telemetry on --- *)
+let test_span_counter_domain_safety () =
+  let c = R.counter "obs-race-n" in
+  with_tracing (fun () ->
+      hammer 4 (fun _ ->
+          for _ = 1 to 10_000 do
+            T.with_span "obs-race" (fun () -> R.incr c)
+          done));
+  Alcotest.(check int) "every span recorded" 40_000 (count_spans "obs-race");
+  Alcotest.(check int) "no span dropped" 0 (T.dropped ());
+  Alcotest.(check int) "every incr counted" 40_000 (R.counter_value c)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_stats_spans () =
+  let widgets = R.counter "t.stats.widgets" in
+  let out =
+    with_tracing (fun () ->
+        let v = T.with_span "work" (fun () -> T.with_span "inner" (fun () -> 7)) in
+        Alcotest.(check int) "nested value" 7 v;
+        Alcotest.(check int) "second call" 1 (T.with_span "work" (fun () -> 1));
+        R.incr widgets;
+        R.incr ~by:4 widgets;
+        (* exceptions still get timed *)
+        (try T.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
+        Format.asprintf "%a" T.pp_stats ())
+  in
+  let row name = List.find_opt (fun l -> contains l name) (String.split_on_char '\n' out) in
+  let has_row name suffix =
+    match row name with Some l -> contains l suffix | None -> false
+  in
+  Alcotest.(check bool) "work span: two calls" true (has_row "  work " "(2 calls)");
+  Alcotest.(check bool) "nested span: one call" true (has_row "  inner " "(1 call)");
+  Alcotest.(check bool) "exception span timed" true (has_row "  boom " "(1 call)");
+  Alcotest.(check bool) "registry counter row" true (has_row "t.stats.widgets" "5");
+  Alcotest.(check bool) "zero rows hidden" false (contains out "t.zzz")
+
+(* --- the daemon's span names, and warm = cold with telemetry on --- *)
 
 let temp_dir =
   let d =
@@ -261,9 +287,35 @@ let fib_elf =
          (Minicc.Driver.compile Minicc.Programs.fib).Minicc.Driver.image;
      path)
 
+(* bench/e2e/served.ml reads these names from a traced rvserved *)
+let test_daemon_span_contract () =
+  let path = Lazy.force fib_elf in
+  with_tracing (fun () ->
+      let c = Cache.create () and pool = Pool.create ~domains:1 in
+      let req = { Wire.rq_id = 1L; rq_path = path; rq_action = Wire.Parse } in
+      for _ = 1 to 2 do
+        match Pool.run_batch pool [ (fun () -> Jobs.exec c req) ] with
+        | [ Ok r ] -> Alcotest.(check bool) "job ok" true r.Wire.rs_ok
+        | _ -> Alcotest.fail "pool lost the job"
+      done;
+      Pool.shutdown pool);
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) (name ^ " spans") n (count_spans name))
+    [
+      ("job:parse", 2); ("cache-lookup", 2); ("pool:wait", 2);
+      (* the warm job is served from the cache *)
+      ("execute", 1); ("serialize", 1);
+    ];
+  (* the cold job's library spans nest under execute *)
+  List.iter
+    (fun name ->
+      match List.find_opt (fun e -> e.T.ev_name = name) (T.events ()) with
+      | Some e -> Alcotest.(check string) (name ^ " parent") "execute" e.T.ev_parent
+      | None -> Alcotest.failf "no %s span" name)
+    [ "elf.read"; "symtab.build"; "parse.cfg" ]
+
 let test_warm_cold_with_telemetry () =
   (* metrics and spans must never leak into payload bytes *)
-  Stats.enable ();
   with_tracing (fun () ->
       let path = Lazy.force fib_elf in
       List.iter
@@ -283,8 +335,7 @@ let test_warm_cold_with_telemetry () =
           ( Wire.Rewrite
               (Patch_api.Rewriter.counter_spec ~entries:[ "main" ] ()),
             "rewrite" );
-        ]);
-  Stats.disable ()
+        ])
 
 (* --- metrics wire action --- *)
 
@@ -325,13 +376,16 @@ let () =
             test_trace_off_records_nothing;
           Alcotest.test_case "ring bound" `Quick test_trace_ring_bound;
         ] );
-      ( "stats-shim",
+      ( "stats",
         [
           Alcotest.test_case "4-domain hammer" `Quick
-            test_stats_shim_domain_safety;
+            test_span_counter_domain_safety;
+          Alcotest.test_case "spans and counters" `Quick test_stats_spans;
         ] );
       ( "differential",
         [
+          Alcotest.test_case "daemon span names" `Quick
+            test_daemon_span_contract;
           Alcotest.test_case "warm = cold with telemetry on" `Quick
             test_warm_cold_with_telemetry;
           Alcotest.test_case "metrics wire roundtrip" `Quick

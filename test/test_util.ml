@@ -324,49 +324,6 @@ let test_byte_buf_overflow () =
 
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 
-(* --- stats ------------------------------------------------------------------- *)
-
-let test_stats_disabled () =
-  Stats.disable ();
-  Stats.reset ();
-  (* not enabled in this runner: spans run the payload but record nothing *)
-  let hits = ref 0 in
-  let v = Stats.span "off" (fun () -> incr hits; 41 + 1) in
-  checki "payload ran" 1 !hits;
-  checki "value through" 42 v;
-  Stats.incr "off-counter";
-  let buf = Buffer.create 64 in
-  Stats.pp (Format.formatter_of_buffer buf) ();
-  ()
-
-let test_stats_spans () =
-  Stats.enable ();
-  Stats.reset ();
-  let v = Stats.span "work" (fun () -> Stats.span "inner" (fun () -> 7)) in
-  checki "nested value" 7 v;
-  let v2 = Stats.span "work" (fun () -> 1) in
-  checki "second call" 1 v2;
-  Stats.incr "widgets";
-  Stats.incr ~by:4 "widgets";
-  (* exceptions still get timed *)
-  (try Stats.span "boom" (fun () -> failwith "x") with Failure _ -> ());
-  let buf = Buffer.create 256 in
-  let fmt = Format.formatter_of_buffer buf in
-  Stats.pp fmt ();
-  Format.pp_print_flush fmt ();
-  let out = Buffer.contents buf in
-  let has s =
-    let n = String.length out and m = String.length s in
-    let rec go i = i + m <= n && (String.sub out i m = s || go (i + 1)) in
-    go 0
-  in
-  checkb "work span reported" true (has "work");
-  checkb "two calls" true (has "2 calls");
-  checkb "counter reported" true (has "widgets");
-  checkb "exception span reported" true (has "boom");
-  Stats.reset ();
-  Stats.disable ()
-
 let () =
   Alcotest.run "util"
     [
@@ -395,12 +352,6 @@ let () =
           Alcotest.test_case "scc two cycles" `Quick test_scc_two_cycles;
           Alcotest.test_case "topo order" `Quick test_topo_order;
           qt prop_scc_partition;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "disabled is transparent" `Quick
-            test_stats_disabled;
-          Alcotest.test_case "spans and counters" `Quick test_stats_spans;
         ] );
       ( "byte-buf",
         [
