@@ -13,7 +13,13 @@
 #                the rewrite-scaling section fails when liveness,
 #                Rewriter.plan or Verifier.verify time grows more than
 #                1.5x the block ratio between 80- and 320-function
-#                corpora (best of 5, re-measured once before failing)
+#                corpora; the served section fails on warm < 5x cold, a
+#                warm verify payload that differs from the cold one, or
+#                a metrics overhead above 10%.  Every speed gate is
+#                timed one way (bench/gauge.ml): best of N rounds, in
+#                CPU time with the sides taking turns when all run on
+#                one domain, in wall-clock time otherwise, measured once
+#                more before it fails
 #   fuzz-smoke   fixed-seed differential fuzz: rvsim vs the Sail IR in
 #                lockstep, the exhaustive RVC decoder sweep, the rewrite
 #                round-trip on two mutatees, the superblock-engine vs

@@ -14,22 +14,19 @@
    Bechamel Test.make per table/ablation row) for the toolkit itself:
    parsing, liveness, codegen, simulation speed. *)
 
+module J = Dyn_util.Jsonw
+
 let matmul_n = 16
 let matmul_reps = 2
+let mutatee_name n reps = Printf.sprintf "matmul_%dx%d_reps%d" n n reps
 
 (* ------------------------------------------------------------------ *)
 (* RISC-V side                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type rv_setup = {
-  binary : Core.binary;
-  compiled : Minicc.Driver.compiled;
-}
-
-let rv_setup () =
-  let src = Minicc.Programs.matmul ~n:matmul_n ~reps:matmul_reps in
-  let compiled = Minicc.Driver.compile src in
-  { binary = Core.open_image compiled.Minicc.Driver.image; compiled }
+let rv_setup ?(n = matmul_n) ?(reps = matmul_reps) () : Core.binary =
+  Core.open_image
+    (Minicc.Driver.compile (Minicc.Programs.matmul ~n ~reps)).Minicc.Driver.image
 
 (* run an image; the mutatee prints elapsed ns on stdout *)
 let rv_elapsed_ns (img : Elfkit.Types.image) : int64 =
@@ -40,20 +37,19 @@ let rv_elapsed_ns (img : Elfkit.Types.image) : int64 =
       Format.kasprintf failwith "riscv mutatee failed: %a" Rvsim.Machine.pp_stop
         stop
 
-let rv_base (s : rv_setup) = rv_elapsed_ns (Core.image s.binary)
+let rv_base (b : Core.binary) = rv_elapsed_ns (Core.image b)
 
-let rv_instrumented ?use_dead_regs ~(points : [ `Entry | `Blocks ]) (s : rv_setup)
+let rv_instrumented ?use_dead_regs ~(points : [ `Entry | `Blocks ]) (b : Core.binary)
     : int64 * Patch_api.Rewriter.stats =
-  let m = Core.create_mutator ?use_dead_regs s.binary in
+  let m = Core.create_mutator ?use_dead_regs b in
   let counter = Core.create_counter m "bench_counter" in
   (match points with
   | `Entry ->
-      Core.insert m (Core.at_entry s.binary "multiply")
-        [ Codegen_api.Snippet.incr counter ]
+      Core.insert m (Core.at_entry b "multiply") [ Codegen_api.Snippet.incr counter ]
   | `Blocks ->
       List.iter
         (fun pt -> Core.insert m pt [ Codegen_api.Snippet.incr counter ])
-        (Core.at_blocks s.binary "multiply"));
+        (Core.at_blocks b "multiply"));
   let img = Core.rewrite m in
   (rv_elapsed_ns img, Core.stats m)
 
@@ -131,12 +127,12 @@ let table_4_3 () =
 (* Run matmul with TraceAPI points planted in multiply; the mutatee
    still times its own call loop, so the simulated elapsed ns includes
    the record stores, the overflow checks and the flush syscalls. *)
-let rv_traced (s : rv_setup) (opts : Trace_api.Tracer.opts) :
+let rv_traced (b : Core.binary) (opts : Trace_api.Tracer.opts) :
     int64 * int * int =
-  let m = Core.create_mutator s.binary in
+  let m = Core.create_mutator b in
   let ring = Trace_api.Ring.create m.Core.rw ~capacity:1024 in
   let _ =
-    Trace_api.Tracer.instrument m.Core.rw s.binary.Core.cfg ~ring
+    Trace_api.Tracer.instrument m.Core.rw b.Core.cfg ~ring
       ~funcs:[ "multiply" ] opts
   in
   let img = Core.rewrite m in
@@ -177,29 +173,24 @@ let trace_overhead ?(json = "BENCH_trace.json") () =
   Printf.printf "   overhead ordering bb-count <= bb-trace <= mem-trace: %s\n"
     (if ordered then "ok" else "VIOLATED");
   (* machine-readable trajectory point for future PRs *)
-  let oc = open_out json in
-  Printf.fprintf oc
-    "{\n\
-    \  \"mutatee\": \"matmul_%dx%d_reps%d\",\n\
-    \  \"ring_capacity\": 1024,\n\
-    \  \"base_ns\": %Ld,\n\
-    \  \"bb_count_ns\": %Ld,\n\
-    \  \"bb_trace_ns\": %Ld,\n\
-    \  \"mem_trace_ns\": %Ld,\n\
-    \  \"bb_count_overhead_pct\": %.2f,\n\
-    \  \"bb_trace_overhead_pct\": %.2f,\n\
-    \  \"mem_trace_overhead_pct\": %.2f,\n\
-    \  \"bb_trace_records\": %d,\n\
-    \  \"bb_trace_flushes\": %d,\n\
-    \  \"mem_trace_records\": %d,\n\
-    \  \"mem_trace_flushes\": %d,\n\
-    \  \"ordering_ok\": %b\n\
-     }\n"
-    matmul_n matmul_n matmul_reps base bb_count bb_trace mem_trace
-    (pct base bb_count) (pct base bb_trace) (pct base mem_trace) bb_records
-    bb_flushes mem_records mem_flushes ordered;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json
+  Gauge.write json
+    (J.Obj
+       [
+         ("mutatee", J.String (mutatee_name matmul_n matmul_reps));
+         ("ring_capacity", J.Int 1024L);
+         ("base_ns", J.Int base);
+         ("bb_count_ns", J.Int bb_count);
+         ("bb_trace_ns", J.Int bb_trace);
+         ("mem_trace_ns", J.Int mem_trace);
+         ("bb_count_overhead_pct", J.fixed ~digits:2 (pct base bb_count));
+         ("bb_trace_overhead_pct", J.fixed ~digits:2 (pct base bb_trace));
+         ("mem_trace_overhead_pct", J.fixed ~digits:2 (pct base mem_trace));
+         ("bb_trace_records", Gauge.int bb_records);
+         ("bb_trace_flushes", Gauge.int bb_flushes);
+         ("mem_trace_records", Gauge.int mem_records);
+         ("mem_trace_flushes", Gauge.int mem_flushes);
+         ("ordering_ok", J.Bool ordered);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* PerfAPI: sampling profiler overhead vs instrumentation              *)
@@ -214,9 +205,7 @@ let prof_overhead ?(smoke = false) ?(json = "BENCH_prof.json") () =
   print_endline "\n== PerfAPI: sampling profiler overhead (simulated seconds) ==";
   let n = if smoke then 8 else matmul_n in
   let reps = if smoke then 1 else matmul_reps in
-  let src = Minicc.Programs.matmul ~n ~reps in
-  let compiled = Minicc.Driver.compile src in
-  let setup = { binary = Core.open_image compiled.Minicc.Driver.image; compiled } in
+  let setup = rv_setup ~n ~reps () in
   let base = rv_base setup in
   let bb_count, _ = rv_instrumented ~points:`Blocks setup in
   let profiled period =
@@ -227,7 +216,7 @@ let prof_overhead ?(smoke = false) ?(json = "BENCH_prof.json") () =
         keep_samples = false;
       }
     in
-    let r = Perf_api.Profiler.profile ~config setup.binary in
+    let r = Perf_api.Profiler.profile ~config setup in
     match r.Perf_api.Profiler.r_stop with
     | Rvsim.Machine.Exited 0 ->
         (Int64.of_string (String.trim r.Perf_api.Profiler.r_stdout), r)
@@ -250,36 +239,30 @@ let prof_overhead ?(smoke = false) ?(json = "BENCH_prof.json") () =
     (if below then "ok" else "VIOLATED");
   (* cross-check the headline claim: sampling and tracing agree on the
      hottest function *)
-  let v = Perf_api.Validate.validate setup.binary in
+  let v = Perf_api.Validate.validate setup in
   Format.printf "   %a@." Perf_api.Validate.pp v;
   let hottest =
     match v.Perf_api.Validate.v_prof_hottest with Some f -> f | None -> "?"
   in
-  let oc = open_out json in
-  Printf.fprintf oc
-    "{\n\
-    \  \"mutatee\": \"matmul_%dx%d_reps%d\",\n\
-    \  \"sample_cost_cycles\": %d,\n\
-    \  \"base_ns\": %Ld,\n\
-    \  \"bb_count_ns\": %Ld,\n\
-    \  \"bb_count_overhead_pct\": %.2f,\n\
-    \  \"prof_10k_ns\": %Ld,\n\
-    \  \"prof_10k_overhead_pct\": %.2f,\n\
-    \  \"prof_10k_samples\": %d,\n\
-    \  \"prof_1k_ns\": %Ld,\n\
-    \  \"prof_1k_overhead_pct\": %.2f,\n\
-    \  \"prof_1k_samples\": %d,\n\
-    \  \"hottest\": \"%s\",\n\
-    \  \"trace_agreement\": %b,\n\
-    \  \"sampling_below_bb_count\": %b\n\
-     }\n"
-    n n reps Perf_api.Profiler.default_config.Perf_api.Profiler.sample_cost
-    base bb_count (pct base bb_count) prof_10k (pct base prof_10k)
-    r_10k.Perf_api.Profiler.r_n_samples prof_1k (pct base prof_1k)
-    r_1k.Perf_api.Profiler.r_n_samples hottest v.Perf_api.Validate.v_agree
-    below;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json
+  Gauge.write json
+    (J.Obj
+       [
+         ("mutatee", J.String (mutatee_name n reps));
+         ( "sample_cost_cycles",
+           Gauge.int Perf_api.Profiler.default_config.Perf_api.Profiler.sample_cost );
+         ("base_ns", J.Int base);
+         ("bb_count_ns", J.Int bb_count);
+         ("bb_count_overhead_pct", J.fixed ~digits:2 (pct base bb_count));
+         ("prof_10k_ns", J.Int prof_10k);
+         ("prof_10k_overhead_pct", J.fixed ~digits:2 (pct base prof_10k));
+         ("prof_10k_samples", Gauge.int r_10k.Perf_api.Profiler.r_n_samples);
+         ("prof_1k_ns", J.Int prof_1k);
+         ("prof_1k_overhead_pct", J.fixed ~digits:2 (pct base prof_1k));
+         ("prof_1k_samples", Gauge.int r_1k.Perf_api.Profiler.r_n_samples);
+         ("hottest", J.String hottest);
+         ("trace_agreement", J.Bool v.Perf_api.Validate.v_agree);
+         ("sampling_below_bb_count", J.Bool below);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* ablation: the dead-register optimization (paper 4.3's explanation)   *)
@@ -430,9 +413,11 @@ int f%d(int x) {
 
 (* Parse MIPS (millions of instructions parsed per wall-clock second)
    for the domain-parallel engine against the frozen sequential
-   reference parser, over synthetic minicc corpora.  Both numbers only
-   count if the CFGs are structurally identical: reference vs 1 domain,
-   reference vs N domains, and 1 vs N domains must all diff empty.
+   reference parser, over synthetic minicc corpora; [Gauge] times them
+   on the wall clock, since the N-domain side runs on several domains.
+   Both numbers only count if the CFGs are structurally identical:
+   reference vs 1 domain, reference vs N domains, and 1 vs N domains
+   must all diff empty.
    The speedup on the largest corpus and the zero-difference identity
    are hard gates: a violation is returned to [main], which fails the
    bench (and `make bench-smoke` / `make check` with it) once every
@@ -447,21 +432,6 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
   let repeats = if smoke then 3 else 5 in
   let bar = if smoke then 1.5 else 2.5 in
   let nd = max 2 (Domain.recommended_domain_count ()) in
-  (* best-of-[repeats]: parsing is deterministic, so the minimum is the
-     least-noisy estimate of the true cost *)
-  let best f =
-    let cfg = f () in
-    let rec go k acc =
-      if k = 0 then acc
-      else begin
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        let dt = Unix.gettimeofday () -. t0 in
-        go (k - 1) (Float.min acc dt)
-      end
-    in
-    (go repeats infinity, cfg)
-  in
   let rows =
     List.map
       (fun n ->
@@ -469,14 +439,19 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
           (Minicc.Driver.compile (synthetic_source n)).Minicc.Driver.image
         in
         let st = Symtab.of_image img in
-        let t_ref, ref_cfg = best (fun () -> Parse_api.Refparser.parse st) in
-        let t_1, cfg_1 = best (fun () -> Parse_api.Parser.parse ~domains:1 st) in
-        let t_n, cfg_n =
-          best (fun () -> Parse_api.Parser.parse ~domains:nd st)
+        let parsers =
+          [|
+            (fun () -> Parse_api.Refparser.parse st);
+            (fun () -> Parse_api.Parser.parse ~domains:1 st);
+            (fun () -> Parse_api.Parser.parse ~domains:nd st);
+          |]
         in
-        (* untimed: force true [nd]-worker fan-out even where the
-           engine's scheduling policy would clamp to the core count, so
-           the identity gate always covers a genuinely parallel parse *)
+        (* untimed: the CFGs for the identity gate, plus true
+           [nd]-worker fan-out even where the engine's scheduling policy
+           would clamp to the core count, so the identity gate always
+           covers a genuinely parallel parse *)
+        let ref_cfg = parsers.(0) () and cfg_1 = parsers.(1) () in
+        let cfg_n = parsers.(2) () in
         let cfg_os = Parse_api.Parser.parse ~domains:nd ~oversubscribe:true st in
         let insns =
           Array.fold_left
@@ -490,15 +465,41 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
           + List.length (Parse_api.Cfg_diff.diff cfg_1 cfg_n)
           + List.length (Parse_api.Cfg_diff.diff ref_cfg cfg_os)
         in
+        (* seconds per parse: reference, 1 domain, [nd] domains *)
+        let times () =
+          Gauge.best ~clock:Gauge.Wall ~rounds:repeats
+            (Array.map (fun parse () () -> ignore (parse ()); 1.) parsers)
+          |> Array.map (fun rate -> 1. /. rate)
+        in
+        (* only the largest corpus is gated *)
+        let t =
+          if n <> List.nth sizes (List.length sizes - 1) then times ()
+          else Gauge.gated ~ok:(fun t -> t.(0) /. t.(2) >= bar) times
+        in
         let mips t = float_of_int insns /. 1e6 /. t in
         Printf.printf
           "   %5d funcs %6d blocks %7d insns | seq ref %7.1f ms %5.2f MIPS | \
            1 dom %7.1f ms | %d dom %7.1f ms %5.2f MIPS | %5.2fx | %d diffs\n"
           n
           (Parse_api.Cfg.n_blocks ref_cfg)
-          insns (t_ref *. 1e3) (mips t_ref) (t_1 *. 1e3) nd (t_n *. 1e3)
-          (mips t_n) (t_ref /. t_n) diffs;
-        (n, insns, t_ref, t_1, t_n, diffs))
+          insns (t.(0) *. 1e3) (mips t.(0)) (t.(1) *. 1e3) nd (t.(2) *. 1e3)
+          (mips t.(2)) (t.(0) /. t.(2)) diffs;
+        let ms t = J.fixed ~digits:3 (t *. 1e3) in
+        let mips t = J.fixed ~digits:2 (mips t) in
+        ( t.(0) /. t.(2),
+          diffs,
+          J.Obj
+            [
+              ("funcs", Gauge.int n);
+              ("insns", Gauge.int insns);
+              ("seq_ref_ms", ms t.(0));
+              ("domains1_ms", ms t.(1));
+              ("domainsN_ms", ms t.(2));
+              ("seq_ref_mips", mips t.(0));
+              ("domainsN_mips", mips t.(2));
+              ("speedup_vs_seq", J.fixed ~digits:2 (t.(0) /. t.(2)));
+              ("cfg_diffs", Gauge.int diffs);
+            ] ))
       sizes
   in
   let reg_count name =
@@ -509,9 +510,8 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
   Printf.printf "   scheduler: %d parse tasks, %d steals, %d rounds\n"
     (reg_count "parse.tasks") (reg_count "parse.steals")
     (reg_count "parse.rounds");
-  let _, _, t_ref, _, t_n, _ = List.nth rows (List.length rows - 1) in
-  let speedup = t_ref /. t_n in
-  let total_diffs = List.fold_left (fun a (_, _, _, _, _, d) -> a + d) 0 rows in
+  let speedup, _, _ = List.nth rows (List.length rows - 1) in
+  let total_diffs = List.fold_left (fun a (_, d, _) -> a + d) 0 rows in
   let speed_ok = speedup >= bar and ident_ok = total_diffs = 0 in
   Printf.printf "   largest-corpus speedup vs seq ref >= %.1fx: %s (%.2fx)\n"
     bar
@@ -521,30 +521,18 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
     nd
     (if ident_ok then "ok" else "VIOLATED")
     total_diffs;
-  let oc = open_out json in
-  Printf.fprintf oc "{\n  \"domains\": %d,\n  \"speedup_bar\": %.1f,\n" nd bar;
-  Printf.fprintf oc "  \"corpora\": [\n";
-  List.iteri
-    (fun i (n, insns, t_ref, t_1, t_n, diffs) ->
-      Printf.fprintf oc
-        "    {\"funcs\": %d, \"insns\": %d, \"seq_ref_ms\": %.3f, \
-         \"domains1_ms\": %.3f, \"domainsN_ms\": %.3f, \"seq_ref_mips\": \
-         %.2f, \"domainsN_mips\": %.2f, \"speedup_vs_seq\": %.2f, \
-         \"cfg_diffs\": %d}%s\n"
-        n insns (t_ref *. 1e3) (t_1 *. 1e3) (t_n *. 1e3)
-        (float_of_int insns /. 1e6 /. t_ref)
-        (float_of_int insns /. 1e6 /. t_n)
-        (t_ref /. t_n) diffs
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"parse_tasks\": %d,\n  \"parse_steals\": %d,\n  \"speedup_vs_seq\": \
-     %.2f,\n  \"speedup_ok\": %b,\n  \"cfg_identity_ok\": %b\n}\n"
-    (reg_count "parse.tasks") (reg_count "parse.steals") speedup speed_ok
-    ident_ok;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json;
+  Gauge.write json
+    (J.Obj
+       [
+         ("domains", Gauge.int nd);
+         ("speedup_bar", J.fixed ~digits:1 bar);
+         ("corpora", J.List (List.map (fun (_, _, row) -> row) rows));
+         ("parse_tasks", Gauge.int (reg_count "parse.tasks"));
+         ("parse_steals", Gauge.int (reg_count "parse.steals"));
+         ("speedup_vs_seq", J.fixed ~digits:2 speedup);
+         ("speedup_ok", J.Bool speed_ok);
+         ("cfg_identity_ok", J.Bool ident_ok);
+       ]);
   [
     ( ident_ok,
       Printf.sprintf
@@ -564,25 +552,21 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
    seeded corpora 4x apart whose [main] calls every function (so [main]
    is one long chain of call blocks): liveness over every function,
    [Rewriter.plan] with a counter at every block, and the structural
-   [Verifier.verify] of the result.  Best of 5 each in process CPU time
-   (time the host gives to other tenants does not count), setup untimed,
-   the two sizes interleaved so that both see the same host noise.  A hard
-   gate: each time ratio must stay within 1.5x the block ratio, so a
-   superlinear term in any layer fails the bench (and `make bench-smoke`
-   / `make check` with it) once every section has run. *)
+   [Verifier.verify] of the result.  Timed by [Gauge] in process CPU
+   time, best of 5, setup untimed, all six size-layer sides interleaved
+   so that both sizes see the same host noise.  A hard gate: each time
+   ratio must stay within 1.5x the block ratio, so a superlinear term in
+   any layer fails the bench (and `make bench-smoke` / `make check` with
+   it) once every section has run. *)
 let rewrite_scaling () =
   print_endline "\n== Static rewrite scaling: liveness, plan, verify ==";
   let module Rw = Patch_api.Rewriter in
   let slack = 1.5 and repeats = 5 in
-  let timed setup run =
+  let side setup run () =
     let x = setup () in
-    (* start each timed run from the same collected heap *)
-    Gc.full_major ();
-    let t0 = Sys.time () in
-    ignore (Sys.opaque_identity (run x));
-    Sys.time () -. t0
+    fun () -> ignore (Sys.opaque_identity (run x)); 1.
   in
-  (* one size: its block count and one run of each layer *)
+  (* one size: its block count and a side per layer *)
   let corpus n_funcs =
     let st = Symtab.of_image (Check_api.Corpus.image ~seed:1L ~index:0 ~n_funcs) in
     let cfg = Parse_api.Parser.parse ~domains:1 st in
@@ -598,63 +582,48 @@ let rewrite_scaling () =
         funcs;
       rw
     in
-    let run_layers () =
-      [
-        timed ignore (fun () -> List.map (Dataflow_api.Liveness.analyze cfg) funcs);
-        timed session Rw.plan;
-        timed
+    ( n_funcs,
+      Parse_api.Cfg.n_blocks cfg,
+      [|
+        side ignore (fun () -> List.map (Dataflow_api.Liveness.analyze cfg) funcs);
+        side session Rw.plan;
+        side
           (fun () ->
             let rw = session () in
             let img = Rw.apply_to_image rw (Rw.plan rw) in
             (Option.get (Rw.manifest rw), img))
           (fun (manifest, rewritten) ->
             Lint_api.Verifier.verify ~orig:st cfg ~manifest ~rewritten);
-      ]
-    in
-    (n_funcs, Parse_api.Cfg.n_blocks cfg, run_layers)
+      |] )
   in
   let sizes = [| corpus 80; corpus 320 |] in
   let blocks i = match sizes.(i) with _, b, _ -> float_of_int b in
+  let sides i = match sizes.(i) with _, _, s -> s in
   let block_ratio = blocks 1 /. blocks 0 in
   let bound = slack *. block_ratio in
   let layers = [| "liveness"; "plan"; "verify" |] in
-  (* best-of-[repeats] per size and layer; the 320/80 time ratios *)
+  (* the 320/80 time ratio per layer *)
   let measure () =
-    let best = Array.make_matrix 2 3 infinity in
-    for _ = 1 to repeats do
-      Array.iteri
-        (fun i (_, _, run_layers) ->
-          List.iteri
-            (fun j t -> best.(i).(j) <- Float.min best.(i).(j) t)
-            (run_layers ()))
-        sizes
-    done;
+    let rates =
+      Gauge.best ~clock:Gauge.Cpu ~rounds:repeats
+        (Array.append (sides 0) (sides 1))
+    in
+    let ms i j = 1e3 /. rates.((3 * i) + j) in
     Array.iteri
       (fun i (n_funcs, blocks, _) ->
         Printf.printf
           "   %4d funcs %5d blocks | liveness %7.2f ms | plan %7.2f ms | \
            verify %7.2f ms\n"
-          n_funcs blocks (best.(i).(0) *. 1e3) (best.(i).(1) *. 1e3)
-          (best.(i).(2) *. 1e3))
+          n_funcs blocks (ms i 0) (ms i 1) (ms i 2))
       sizes;
-    let ratios = Array.map2 ( /. ) best.(1) best.(0) in
+    let ratios = Array.init 3 (fun j -> ms 1 j /. ms 0 j) in
     Printf.printf
       "   ratio 320/80: blocks %.2fx | liveness %.2fx | plan %.2fx | verify \
        %.2fx (bound %.2fx)\n"
       block_ratio ratios.(0) ratios.(1) ratios.(2) bound;
     ratios
   in
-  let over ratios = Array.exists (fun r -> r > bound) ratios in
-  let ratios =
-    let first = measure () in
-    if not (over first) then first
-    else begin
-      (* a quadratic layer fails twice; a noisy window on a shared host
-         rarely does *)
-      print_endline "   over the bound: measuring once more";
-      measure ()
-    end
-  in
+  let ratios = Gauge.gated ~ok:(Array.for_all (fun r -> r <= bound)) measure in
   if Array.for_all (fun r -> r <= bound) ratios then
     print_endline "   linear in the block count: ok";
   List.mapi
@@ -683,22 +652,17 @@ let figure_flows () =
   Printf.printf "   static rewrite:        counter=%Ld\n"
     (Rvsim.Mem.read64 p.Rvsim.Loader.machine.Rvsim.Machine.mem
        c1.Codegen_api.Snippet.v_addr);
-  (* dynamic: create-and-instrument *)
-  let m2 = Core.create_mutator b in
-  let c2 = Core.create_counter m2 "dynamic" in
-  Core.insert m2 (Core.at_entry b "multiply") [ Codegen_api.Snippet.incr c2 ];
-  let proc = Core.launch (Core.image b) in
-  Core.instrument_process m2 proc;
-  let _ = Core.continue_ proc in
-  Printf.printf "   create-and-instrument: counter=%Ld\n" (Core.read_counter proc c2);
-  (* dynamic: attach *)
-  let m3 = Core.create_mutator b in
-  let c3 = Core.create_counter m3 "attach" in
-  Core.insert m3 (Core.at_entry b "multiply") [ Codegen_api.Snippet.incr c3 ];
-  let proc2 = Core.launch (Core.image b) in
-  Core.instrument_process m3 proc2;
-  let _ = Core.continue_ proc2 in
-  Printf.printf "   attach-and-instrument: counter=%Ld\n" (Core.read_counter proc2 c3)
+  (* dynamic: create-and-instrument, then attach-and-instrument *)
+  List.iter
+    (fun how ->
+      let m = Core.create_mutator b in
+      let c = Core.create_counter m how in
+      Core.insert m (Core.at_entry b "multiply") [ Codegen_api.Snippet.incr c ];
+      let proc = Core.launch (Core.image b) in
+      Core.instrument_process m proc;
+      let _ = Core.continue_ proc in
+      Printf.printf "   %s-and-instrument: counter=%Ld\n" how (Core.read_counter proc c))
+    [ "create"; "attach" ]
 
 let figure_components () =
   print_endline "\n== Figure 2: component map ==";
@@ -795,21 +759,19 @@ let bechamel_benches () =
 let lockstep_throughput ?(runs = 5) ?(count = 50_000) () =
   print_endline "\n== rvcheck lockstep throughput ==";
   let open Check_api in
-  (* one timed sweep varies by tens of percent on a shared host: report
-     the median of [runs] identical sweeps with their spread *)
-  let sweep () =
-    let t0 = Sys.time () in
-    let s = Diffkit.sweep Oracle.leg (Oracle.cases ~seed:1L ~count) in
-    (s, float_of_int s.Diffkit.cases /. (Sys.time () -. t0))
+  let last = ref None in
+  let rate =
+    Gauge.best ~clock:Gauge.Cpu ~rounds:runs
+      [|
+        (fun () () ->
+          let s = Diffkit.sweep Oracle.leg (Oracle.cases ~seed:1L ~count) in
+          last := Some s;
+          float_of_int s.Diffkit.cases);
+      |]
   in
-  let sweeps = List.init runs (fun _ -> sweep ()) in
-  let rates = List.sort compare (List.map snd sweeps) in
-  let s = fst (List.hd sweeps) in
-  Printf.printf "   %d cases x %d runs: median %.0f cases/s (min %.0f, max %.0f)\n"
-    s.Diffkit.cases runs
-    (List.nth rates (runs / 2))
-    (List.hd rates)
-    (List.nth rates (runs - 1));
+  let s = Option.get !last in
+  Printf.printf "   %d cases: best of %d runs %.0f cases/s\n" s.Diffkit.cases runs
+    rate.(0);
   Printf.printf
     "   %d agree, %d agreed faults, %d diverged; %d opcodes, %.1f%% compressed\n"
     (Diffkit.count s "agree") (Diffkit.count s "agree-fault") s.Diffkit.failed
@@ -822,8 +784,8 @@ let lockstep_throughput ?(runs = 5) ?(count = 50_000) () =
 (* ------------------------------------------------------------------ *)
 
 (* Host-side MIPS (millions of simulated instructions retired per
-   wall-clock second) for the two execution engines, trace-off and
-   trace-on.  Trace-on measures the fused path: the hook is compiled
+   CPU second, timed by [Gauge]) for the two execution engines,
+   trace-off and trace-on.  Trace-on measures the fused path: the hook is compiled
    into the cached blocks, so the engine must stay well ahead of the
    interpreter.  Every number is paired with the engine differential
    (Check_api.Enginediff through Check_api.Diffkit), which must report zero divergences for the
@@ -839,46 +801,49 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
     (Minicc.Driver.compile (Minicc.Programs.matmul ~n ~reps)).Minicc.Driver.image
   in
   let min_time = if smoke then 0.05 else 0.4 in
-  (* repeat whole runs until [min_time] host seconds accumulate, so the
-     smoke numbers are not pure noise *)
-  let measure ~engine ~traced =
-    Rvsim.Bbcache.reset_stats ();
-    let rec go insns dt iters =
-      if iters >= 1 && dt >= min_time then Int64.to_float insns /. 1e6 /. dt
-      else begin
-        let p = Rvsim.Loader.load ~engine img in
-        if traced then
-          p.Rvsim.Loader.machine.Rvsim.Machine.trace <- Some (fun _ _ -> ());
-        let t0 = Unix.gettimeofday () in
-        let stop, _ = Rvsim.Loader.run p in
-        let dt' = Unix.gettimeofday () -. t0 in
-        (match stop with
-        | Rvsim.Machine.Exited 0 -> ()
-        | s ->
-            Format.kasprintf failwith "sim-throughput mutatee failed: %a"
-              Rvsim.Machine.pp_stop s);
-        go
-          (Int64.add insns p.Rvsim.Loader.machine.Rvsim.Machine.instret)
-          (dt +. dt') (iters + 1)
-      end
-    in
-    go 0L 0.0 0
+  let side (engine, traced) () =
+    let p = Rvsim.Loader.load ~engine img in
+    if traced then
+      p.Rvsim.Loader.machine.Rvsim.Machine.trace <- Some (fun _ _ -> ());
+    fun () ->
+      (match Rvsim.Loader.run p with
+      | Rvsim.Machine.Exited 0, _ -> ()
+      | s, _ ->
+          Format.kasprintf failwith "sim-throughput mutatee failed: %a"
+            Rvsim.Machine.pp_stop s);
+      Int64.to_float p.Rvsim.Loader.machine.Rvsim.Machine.instret /. 1e6
   in
-  let interp_off = measure ~engine:Rvsim.Machine.Eng_interp ~traced:false in
-  let block_off = measure ~engine:Rvsim.Machine.Eng_block ~traced:false in
-  let st = Rvsim.Bbcache.stats in
-  let translated = st.Rvsim.Bbcache.st_translated
-  and chain_hits = st.Rvsim.Bbcache.st_chain_hits
-  and flushes = Rvsim.Bbcache.flushes () in
-  let interp_on = measure ~engine:Rvsim.Machine.Eng_interp ~traced:true in
-  let block_on = measure ~engine:Rvsim.Machine.Eng_block ~traced:true in
-  let speedup_off = block_off /. interp_off in
-  let speedup_on = block_on /. interp_on in
   (* smoke configs run a tiny mutatee where translation overhead eats a
      bigger slice, so they gate against relaxed bars; the committed
      full-config numbers use the real ones *)
   let off_bar = if smoke then 2.0 else 3.0 in
   let on_bar = if smoke then 1.2 else 2.0 in
+  (* MIPS of interpreter and engine, trace-off then trace-on; each
+     sample repeats whole runs until [min_time] seconds accumulate, so
+     the smoke numbers are not pure noise *)
+  let mips =
+    Gauge.gated
+      ~ok:(fun m -> m.(1) /. m.(0) >= off_bar && m.(3) /. m.(2) >= on_bar)
+      (fun () ->
+        Gauge.best ~clock:Gauge.Cpu ~min_time ~rounds:3
+          (Array.map side
+             Rvsim.Machine.
+               [|
+                 (Eng_interp, false); (Eng_block, false); (Eng_interp, true);
+                 (Eng_block, true);
+               |]))
+  in
+  let interp_off = mips.(0) and block_off = mips.(1) in
+  let interp_on = mips.(2) and block_on = mips.(3) in
+  (* the block cache's counters for one trace-off engine run *)
+  Rvsim.Bbcache.reset_stats ();
+  ignore (side (Rvsim.Machine.Eng_block, false) () ());
+  let st = Rvsim.Bbcache.stats in
+  let translated = st.Rvsim.Bbcache.st_translated
+  and chain_hits = st.Rvsim.Bbcache.st_chain_hits
+  and flushes = Rvsim.Bbcache.flushes () in
+  let speedup_off = block_off /. interp_off in
+  let speedup_on = block_on /. interp_on in
   Printf.printf "   %-12s %12s %12s\n" "engine" "trace-off" "trace-on";
   Printf.printf "   %-12s %9.1f MIPS %9.1f MIPS\n" "interpreter" interp_off
     interp_on;
@@ -902,29 +867,24 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
          ())
   in
   Format.printf "   %a" (Check_api.Diffkit.pp_summary ~verbose:false) diff;
-  let oc = open_out json in
-  Printf.fprintf oc
-    "{\n\
-    \  \"mutatee\": \"matmul_%dx%d_reps%d\",\n\
-    \  \"interp_mips\": %.2f,\n\
-    \  \"block_mips\": %.2f,\n\
-    \  \"interp_trace_mips\": %.2f,\n\
-    \  \"block_trace_mips\": %.2f,\n\
-    \  \"speedup_trace_off\": %.2f,\n\
-    \  \"speedup_trace_on\": %.2f,\n\
-    \  \"blocks_translated\": %d,\n\
-    \  \"chain_hits\": %d,\n\
-    \  \"flushes\": %d,\n\
-    \  \"engine_diff_runs\": %d,\n\
-    \  \"engine_diff_divergences\": %d,\n\
-    \  \"speedup_3x_ok\": %b,\n\
-    \  \"speedup_trace_on_ok\": %b\n\
-     }\n"
-    n n reps interp_off block_off interp_on block_on speedup_off speedup_on
-    translated chain_hits flushes diff.Check_api.Diffkit.cases
-    diff.Check_api.Diffkit.failed off_ok on_ok;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json;
+  Gauge.write json
+    (J.Obj
+       [
+         ("mutatee", J.String (mutatee_name n reps));
+         ("interp_mips", J.fixed ~digits:2 interp_off);
+         ("block_mips", J.fixed ~digits:2 block_off);
+         ("interp_trace_mips", J.fixed ~digits:2 interp_on);
+         ("block_trace_mips", J.fixed ~digits:2 block_on);
+         ("speedup_trace_off", J.fixed ~digits:2 speedup_off);
+         ("speedup_trace_on", J.fixed ~digits:2 speedup_on);
+         ("blocks_translated", Gauge.int translated);
+         ("chain_hits", Gauge.int chain_hits);
+         ("flushes", Gauge.int flushes);
+         ("engine_diff_runs", Gauge.int diff.Check_api.Diffkit.cases);
+         ("engine_diff_divergences", Gauge.int diff.Check_api.Diffkit.failed);
+         ("speedup_3x_ok", J.Bool off_ok);
+         ("speedup_trace_on_ok", J.Bool on_ok);
+       ]);
   [
     ( diff.Check_api.Diffkit.failed = 0,
       "sim-throughput gate: engine differential diverged" );

@@ -11,9 +11,11 @@
    Cold = fresh cache (every artifact computed); warm = same batch
    again (every artifact served by content hash).  The acceptance bar
    from the growth plan — warm >= 5x cold — is recorded in the JSON as
-   [warm_over_cold_ok].  Warm batches are repeated until enough host
-   time accumulates for the rate to be meaningful. *)
+   [warm_over_cold_ok].  [Gauge] times both, in CPU time on one domain
+   and wall-clock time on several; each sample repeats batches until
+   enough time accumulates for the rate to be meaningful. *)
 
+module J = Dyn_util.Jsonw
 module W = Serve_api.Wire
 module Cache = Serve_api.Cache
 module Pool = Serve_api.Pool
@@ -36,20 +38,21 @@ let corpus ~smoke =
           (Printf.sprintf "matmul%d" n, Minicc.Programs.matmul ~n ~reps:1))
         [ 6; 8; 10; 12 ]
 
+(* the corpus as ELF files in a fresh temp directory, removed at exit *)
 let write_corpus ~smoke : string list =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rvserved_bench_%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  List.map
-    (fun (name, src) ->
-      let path = Filename.concat dir (name ^ ".elf") in
-      if not (Sys.file_exists path) then
+  let dir = Filename.temp_dir "rvserved_bench_" "" in
+  let paths =
+    List.map
+      (fun (name, src) ->
+        let path = Filename.concat dir (name ^ ".elf") in
         Elfkit.Write.to_file path (Minicc.Driver.compile src).Minicc.Driver.image;
-      path)
-    (corpus ~smoke)
+        path)
+      (corpus ~smoke)
+  in
+  at_exit (fun () ->
+      List.iter Sys.remove paths;
+      Sys.rmdir dir);
+  paths
 
 let batch_of (paths : string list) : W.request list =
   List.concat_map
@@ -66,63 +69,27 @@ let batch_of (paths : string list) : W.request list =
       ])
     paths
 
-let run_batch pool ~stat cache (reqs : W.request list) : unit =
+(* runs the batch; returns its job count, the work of a [Gauge] side *)
+let run_batch pool ~stat cache (reqs : W.request list) : float =
   Pool.run_batch pool (List.map (fun r () -> Jobs.exec ~stat cache r) reqs)
   |> List.iter (function
        | Ok r when r.W.rs_ok -> ()
        | Ok r -> Format.kasprintf failwith "job failed: %s" r.W.rs_error
-       | Error e -> raise e)
+       | Error e -> raise e);
+  float_of_int (List.length reqs)
 
-(* (cold jobs/s, warm jobs/s) on [domains] workers *)
-let measure ~domains ~min_warm_time (reqs : W.request list) : float * float =
-  let n = List.length reqs in
+(* the [Gauge] rates of [sides pool warm] on a pool of [domains] workers,
+   every sample running batches until [min_time] accumulates; [warm]
+   runs the batch against a cache one untimed batch filled *)
+let rates ~domains ~min_time (reqs : W.request list) sides : float array =
   let pool = Pool.create ~domains in
-  let cache = Cache.create () in
-  let stat = Serve_api.Statcache.create () in
-  let t0 = Unix.gettimeofday () in
-  run_batch pool ~stat cache reqs;
-  let cold_dt = Unix.gettimeofday () -. t0 in
-  (* warm: same cache; loop batches until the clock has seen enough *)
-  let rec warm_go total_jobs dt =
-    if dt >= min_warm_time then float_of_int total_jobs /. dt
-    else begin
-      let t0 = Unix.gettimeofday () in
-      run_batch pool ~stat cache reqs;
-      warm_go (total_jobs + n) (dt +. (Unix.gettimeofday () -. t0))
-    end
-  in
-  let warm_rate = warm_go 0 0.0 in
+  let cache = Cache.create () and stat = Serve_api.Statcache.create () in
+  let warm () () = run_batch pool ~stat cache reqs in
+  ignore (warm () ());
+  let clock = if domains = 1 then Gauge.Cpu else Gauge.Wall in
+  let r = Gauge.best ~clock ~min_time ~rounds:3 (sides pool warm) in
   Pool.shutdown pool;
-  (float_of_int n /. cold_dt, warm_rate)
-
-(* warm jobs/s only, best of [tries] runs — the overhead comparison
-   wants the noise floor, not the mean *)
-let best_warm_rate ~tries ~min_warm_time (reqs : W.request list) : float =
-  let rec go i best =
-    if i = 0 then best
-    else
-      let _, warm = measure ~domains:1 ~min_warm_time reqs in
-      go (i - 1) (Float.max best warm)
-  in
-  go tries 0.0
-
-(* The metrics registry rides the warm path (cache-hit counters, job
-   latency histograms, queue instruments); its cost must stay in the
-   noise.  Compare best-of-3 warm rates with the registry's master
-   switch on vs off. *)
-let metrics_overhead ~smoke ~min_warm_time (reqs : W.request list) :
-    float * float * float * bool =
-  let tries = 3 in
-  Dyn_obs.Registry.set_enabled true;
-  let on = best_warm_rate ~tries ~min_warm_time reqs in
-  Dyn_obs.Registry.set_enabled false;
-  let off = best_warm_rate ~tries ~min_warm_time reqs in
-  Dyn_obs.Registry.set_enabled true;
-  let pct = (off -. on) /. off *. 100.0 in
-  (* smoke runs are too short to resolve 3%; keep the tight bar for
-     the full bench and a sanity bar for CI *)
-  let bar = if smoke then 10.0 else 3.0 in
-  (on, off, pct, pct <= bar)
+  r
 
 (* Symbolic-verify jobs land in the same artifact cache, so a warm hit
    must replay the cold payload byte for byte — verdicts, path counts
@@ -155,20 +122,31 @@ let bench ?(smoke = false) ?(json = "BENCH_served.json") () =
   let reqs = batch_of paths in
   Printf.printf "   corpus: %d mutatees, %d jobs/batch (parse+lint+rewrite)\n"
     (List.length paths) (List.length reqs);
-  let min_warm_time = if smoke then 0.05 else 0.3 in
+  let min_time = if smoke then 0.05 else 0.3 in
   let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
+  (* a cold run gets a fresh cache *)
+  let cold pool () =
+    let cache = Cache.create () and stat = Serve_api.Statcache.create () in
+    fun () -> run_batch pool ~stat cache reqs
+  in
   let rows =
     List.map
       (fun d ->
-        let cold, warm = measure ~domains:d ~min_warm_time reqs in
+        let measure () =
+          rates ~domains:d ~min_time reqs (fun pool warm -> [| cold pool; warm |])
+        in
+        let r =
+          if d = 1 then Gauge.gated ~ok:(fun r -> r.(1) /. r.(0) >= 5.0) measure
+          else measure ()
+        in
         Printf.printf "   %d domain%s: %8.0f cold jobs/s  %10.0f warm jobs/s\n" d
           (if d = 1 then " " else "s")
-          cold warm;
-        (d, cold, warm))
+          r.(0) r.(1);
+        (d, r))
       domain_counts
   in
-  let _, cold1, warm1 = List.hd rows in
-  let ratio = warm1 /. cold1 in
+  let r1 = List.assoc 1 rows in
+  let ratio = r1.(1) /. r1.(0) in
   let ok = ratio >= 5.0 in
   Printf.printf "   warm/cold (1 domain): %.1fx  (>= 5x: %s)\n" ratio
     (if ok then "ok" else "VIOLATED");
@@ -176,37 +154,65 @@ let bench ?(smoke = false) ?(json = "BENCH_served.json") () =
   Printf.printf "   verify job: %d payload bytes, warm byte-stable: %s\n"
     v_bytes
     (if v_stable then "ok" else "VIOLATED");
-  let m_on, m_off, m_pct, m_ok = metrics_overhead ~smoke ~min_warm_time reqs in
+  (* smoke runs are too short to resolve 3%; keep the tight bar for
+     the full bench and a sanity bar for CI *)
+  let bar = if smoke then 10.0 else 3.0 in
+  let pct m = (m.(1) -. m.(0)) /. m.(1) *. 100.0 in
+  (* The metrics registry rides the warm path (cache-hit counters, job
+     latency histograms, queue instruments); its cost must stay in the
+     noise: [| on; off |] warm jobs/s with its master switch on and off *)
+  let m =
+    Gauge.gated
+      ~ok:(fun m -> pct m <= bar)
+      (fun () ->
+        rates ~domains:1 ~min_time reqs (fun _ warm ->
+            let side on () =
+              Dyn_obs.Registry.set_enabled on;
+              warm ()
+            in
+            [| side true; side false |]))
+  in
+  Dyn_obs.Registry.set_enabled true;
+  let m_ok = pct m <= bar in
   Printf.printf
     "   metrics overhead: %8.0f on  %8.0f off  jobs/s  (%+.1f%%, bar %.0f%%: \
      %s)\n"
-    m_on m_off m_pct
-    (if smoke then 10.0 else 3.0)
+    m.(0) m.(1) (pct m) bar
     (if m_ok then "ok" else "VIOLATED");
-  let oc = open_out json in
-  Printf.fprintf oc "{\n  \"mutatees\": %d,\n  \"jobs_per_batch\": %d,\n"
-    (List.length paths) (List.length reqs);
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i (d, cold, warm) ->
-      Printf.fprintf oc
-        "    {\"domains\": %d, \"cold_jobs_per_s\": %.1f, \"warm_jobs_per_s\": \
-         %.1f}%s\n"
-        d cold warm
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"warm_over_cold_1d\": %.2f,\n  \"warm_over_cold_ok\": %b,\n" ratio ok;
-  Printf.fprintf oc
-    "  \"verify_job\": {\"payload_bytes\": %d, \"warm_byte_stable\": %b},\n"
-    v_bytes v_stable;
-  Printf.fprintf oc
-    "  \"metrics_overhead\": {\"warm_on_jobs_per_s\": %.1f, \
-     \"warm_off_jobs_per_s\": %.1f, \"overhead_pct\": %.2f, \"ok\": %b}\n}\n"
-    m_on m_off m_pct m_ok;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json;
+  let jobs_per_s x = J.fixed ~digits:1 x in
+  Gauge.write json
+    (J.Obj
+       [
+         ("mutatees", Gauge.int (List.length paths));
+         ("jobs_per_batch", Gauge.int (List.length reqs));
+         ( "rows",
+           J.List
+             (List.map
+                (fun (d, r) ->
+                  J.Obj
+                    [
+                      ("domains", Gauge.int d);
+                      ("cold_jobs_per_s", jobs_per_s r.(0));
+                      ("warm_jobs_per_s", jobs_per_s r.(1));
+                    ])
+                rows) );
+         ("warm_over_cold_1d", J.fixed ~digits:2 ratio);
+         ("warm_over_cold_ok", J.Bool ok);
+         ( "verify_job",
+           J.Obj
+             [
+               ("payload_bytes", Gauge.int v_bytes);
+               ("warm_byte_stable", J.Bool v_stable);
+             ] );
+         ( "metrics_overhead",
+           J.Obj
+             [
+               ("warm_on_jobs_per_s", jobs_per_s m.(0));
+               ("warm_off_jobs_per_s", jobs_per_s m.(1));
+               ("overhead_pct", J.fixed ~digits:2 (pct m));
+               ("ok", J.Bool m_ok);
+             ] );
+       ]);
   [
     (ok, "rvserved bench: warm cache under 5x cold");
     (v_stable, "rvserved bench: warm verify payload not byte-identical to cold");

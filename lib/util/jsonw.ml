@@ -9,19 +9,27 @@
    output matters — the artifact cache's warm/cold differential compares
    rendered payloads byte for byte.  [pp] is the human-facing
    Format-based pretty printer.  The parser is a recursive-descent reader
-   sufficient for round-tripping our own output.  Integers only: nothing
-   in the toolkit emits floats on the wire (fixed-point fields are
-   documented at their emission sites). *)
+   for the JSON grammar; on any malformed input it raises [Parse_error]
+   and nothing else, so one bad request line cannot kill its reader.
+
+   An integer lexeme is [Int]; one with a fraction or an exponent is
+   [Num], its lexeme kept as is, so [fixed ~digits:2 1.5] writes and
+   reads back [1.50].  Only the BENCH files hold decimals; wire traffic
+   and cache payloads stay integers. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int64
+  | Num of string
   | String of string
   | List of t list
   | Obj of (string * t) list
 
 exception Parse_error of string
+
+(* [x] with [digits] digits after the decimal point *)
+let fixed ~digits x = Num (Printf.sprintf "%.*f" digits x)
 
 (* --- compact writer ------------------------------------------------------- *)
 
@@ -45,6 +53,7 @@ let rec write_to buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (Int64.to_string i)
+  | Num s -> Buffer.add_string buf s
   | String s -> escape_to buf s
   | List xs ->
       Buffer.add_char buf '[';
@@ -76,6 +85,7 @@ let rec pp fmt = function
   | Null -> Format.pp_print_string fmt "null"
   | Bool b -> Format.pp_print_bool fmt b
   | Int i -> Format.fprintf fmt "%Ld" i
+  | Num s -> Format.pp_print_string fmt s
   | String s -> pp_string fmt s
   | List xs ->
       Format.fprintf fmt "[@[<hv>%a@]]"
@@ -132,8 +142,10 @@ let parse_string_lit st =
         | Some 'r' -> advance st; Buffer.add_char buf '\r'; go ()
         | Some 'u' ->
             advance st;
-            if st.pos + 4 > String.length st.src then fail_at st "bad \\u escape";
-            let hex = String.sub st.src st.pos 4 in
+            let hex = String.sub st.src st.pos (min 4 (String.length st.src - st.pos)) in
+            let is_hex = String.contains "0123456789abcdefABCDEF" in
+            if String.length hex < 4 || not (String.for_all is_hex hex) then
+              fail_at st "bad \\u escape";
             st.pos <- st.pos + 4;
             Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ hex) land 0xFF));
             go ()
@@ -146,6 +158,38 @@ let parse_string_lit st =
   in
   go ();
   Buffer.contents buf
+
+let literal st word v =
+  let n = String.length word in
+  if st.pos + n > String.length st.src || String.sub st.src st.pos n <> word then
+    fail_at st ("expected " ^ word);
+  st.pos <- st.pos + n;
+  v
+
+(* advances past [c] when it comes next *)
+let eat st c = st.pos < String.length st.src && st.src.[st.pos] = c && (advance st; true)
+
+let digits st =
+  let d0 = st.pos in
+  while st.pos < String.length st.src && st.src.[st.pos] >= '0' && st.src.[st.pos] <= '9' do
+    advance st
+  done;
+  if st.pos = d0 then fail_at st "expected a digit"
+
+(* JSON's number grammar: an optional minus, then 0 or digits not
+   starting with 0, then an optional fraction, then an optional exponent *)
+let parse_number st =
+  let start = st.pos in
+  ignore (eat st '-');
+  if not (eat st '0') then digits st;
+  let frac = eat st '.' && (digits st; true) in
+  let exp = (eat st 'e' || eat st 'E') && (ignore (eat st '+' || eat st '-'); digits st; true) in
+  let lexeme = String.sub st.src start (st.pos - start) in
+  if frac || exp then Num lexeme
+  else
+    match Int64.of_string_opt lexeme with
+    | Some i -> Int i
+    | None -> fail_at st "integer out of range"
 
 let rec parse_value st =
   skip_ws st;
@@ -184,25 +228,10 @@ let rec parse_value st =
         elements []
       end
   | Some '"' -> String (parse_string_lit st)
-  | Some ('-' | '0' .. '9') ->
-      let start = st.pos in
-      if peek st = Some '-' then advance st;
-      let rec digits () =
-        match peek st with
-        | Some '0' .. '9' -> advance st; digits ()
-        | _ -> ()
-      in
-      digits ();
-      Int (Int64.of_string (String.sub st.src start (st.pos - start)))
-  | Some 't' ->
-      st.pos <- st.pos + 4;
-      Bool true
-  | Some 'f' ->
-      st.pos <- st.pos + 5;
-      Bool false
-  | Some 'n' ->
-      st.pos <- st.pos + 4;
-      Null
+  | Some ('-' | '0' .. '9') -> parse_number st
+  | Some 't' -> literal st "true" (Bool true)
+  | Some 'f' -> literal st "false" (Bool false)
+  | Some 'n' -> literal st "null" Null
   | _ -> fail_at st "unexpected character"
 
 let of_string s =

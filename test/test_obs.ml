@@ -271,12 +271,8 @@ let test_stats_spans () =
 (* --- the daemon's span names, and warm = cold with telemetry on --- *)
 
 let temp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rvobs_test_%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
+  let d = Filename.temp_dir "rvobs_test_" "" in
+  at_exit (fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote d)));
   d
 
 let fib_elf =

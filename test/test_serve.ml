@@ -13,12 +13,8 @@ module Jobs = Serve_api.Jobs
 (* --- fixtures: minicc mutatees written to temp ELF files --- *)
 
 let temp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rvserve_test_%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists d) then Unix.mkdir d 0o755;
+  let d = Filename.temp_dir "rvserve_test_" "" in
+  at_exit (fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote d)));
   d
 
 let write_mutatee name src =
@@ -92,7 +88,67 @@ let test_json_errors () =
       match J.of_string bad with
       | exception J.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted %S" bad)
-    [ "{"; "[1,]"; "\"unterminated"; "{\"a\":1} trailing"; "nul" ]
+    [
+      "{";
+      "[1,]";
+      "\"unterminated";
+      "{\"a\":1} trailing";
+      "nul";
+      "{\"id\":-,\"action\":\"ping\"}";
+      "{\"id\":99999999999999999999}";
+      "\"\\uzzzz\"";
+      "txyz";
+      "{\"a\":nope}";
+      "1.";
+      ".5";
+      "1e";
+      "--1";
+      "-";
+      "01";
+    ]
+
+(* a decimal keeps its lexeme through both writers and the parser *)
+let test_json_decimals () =
+  Alcotest.(check string) "fixed" "1.50" (J.to_string (J.fixed ~digits:2 1.5));
+  List.iter
+    (fun lexeme ->
+      let v = J.Obj [ ("x", J.Num lexeme); ("l", J.List [ J.Num lexeme; J.Int 3L ]) ] in
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) ("roundtrip " ^ s) true (J.of_string s = v);
+          Alcotest.(check string) ("stable " ^ s) (J.to_string v)
+            (J.to_string (J.of_string s)))
+        [ J.to_string v; J.to_string_pretty v ])
+    [ "1.50"; "-0.25"; "1e-3"; "0.0"; "2E+10" ];
+  Alcotest.(check bool)
+    "integers stay Int" true
+    (J.of_string "[0,-7,42]" = J.List [ J.Int 0L; J.Int (-7L); J.Int 42L ])
+
+(* Every BENCH file's smoke and full variants carry the same key paths
+   in the same order; a list is compared by its elements' keys, which
+   must agree within the list.  The full files are committed; a smoke
+   file exists once `make bench-smoke` has run, and is skipped before. *)
+let test_bench_key_sets () =
+  let rec keys path = function
+    | J.Obj kvs ->
+        List.concat_map (fun (k, v) -> (path ^ "/" ^ k) :: keys (path ^ "/" ^ k) v) kvs
+    | J.List xs -> (
+        match List.sort_uniq compare (List.map (keys (path ^ "[]")) xs) with
+        | [] -> []
+        | [ ks ] -> ks
+        | _ -> Alcotest.failf "%s: list elements with different keys" path)
+    | _ -> []
+  in
+  let read f = In_channel.with_open_text f In_channel.input_all |> J.of_string in
+  List.iter
+    (fun section ->
+      let full = keys "" (read (Printf.sprintf "../BENCH_%s.json" section)) in
+      Alcotest.(check bool) (section ^ " has keys") true (full <> []);
+      let smoke = Printf.sprintf "../BENCH_%s.smoke.json" section in
+      if Sys.file_exists smoke then
+        Alcotest.(check (list string)) (section ^ ": smoke = full keys") full
+          (keys "" (read smoke)))
+    [ "trace"; "prof"; "sim"; "parse"; "served" ]
 
 (* --- artifact cache --- *)
 
@@ -343,6 +399,11 @@ let test_wire_rejects_garbage () =
       "{\"id\":1}";
       "{\"id\":1,\"action\":\"warp\"}";
       "{\"id\":1,\"action\":\"lint\"}" (* no path *);
+      "{\"id\":-,\"action\":\"ping\"}";
+      "{\"id\":99999999999999999999,\"action\":\"ping\"}";
+      "{\"id\":1.5,\"action\":\"ping\"}";
+      "{\"id\":1,\"action\":\"lint\",\"path\":\"\\uzzzz\"}";
+      "txyz";
     ]
 
 (* --- pool --- *)
@@ -445,6 +506,16 @@ let test_server_session () =
   Alcotest.(check bool)
     "metric names sorted" true
     (List.sort compare names = names);
+  (* a malformed number gets an error response, and the connection
+     still answers afterwards *)
+  output_string oc "{\"id\":-,\"action\":\"ping\"}\n";
+  flush oc;
+  let bad = Wire.decode_response (input_line ic) in
+  Alcotest.(check bool) "malformed line answered with an error" false bad.Wire.rs_ok;
+  send { Wire.rq_id = 7L; rq_path = ""; rq_action = Wire.Ping };
+  let pong = Wire.decode_response (input_line ic) in
+  Alcotest.(check bool) "ping after the bad line" true pong.Wire.rs_ok;
+  Alcotest.(check string) "pong" "\"pong\"" pong.Wire.rs_payload;
   send { Wire.rq_id = 6L; rq_path = ""; rq_action = Wire.Shutdown };
   let bye = Wire.decode_response (input_line ic) in
   Alcotest.(check bool) "bye ok" true bye.Wire.rs_ok;
@@ -496,6 +567,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_json_errors;
+          Alcotest.test_case "decimals" `Quick test_json_decimals;
+          Alcotest.test_case "bench key sets" `Quick test_bench_key_sets;
         ] );
       ( "cache",
         [
