@@ -554,17 +554,23 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
    [Rewriter.plan] with a counter at every block, and the structural
    [Verifier.verify] of the result.  Timed by [Gauge] in process CPU
    time, best of 5, setup untimed, all six size-layer sides interleaved
-   so that both sizes see the same host noise.  A hard gate: each time
-   ratio must stay within 1.5x the block ratio, so a superlinear term in
-   any layer fails the bench (and `make bench-smoke` / `make check` with
-   it) once every section has run. *)
+   so that both sizes see the same host noise.  A liveness sample is 8
+   passes: one pass over 80 functions takes about 1 ms, and timed once
+   its 320/80 ratio swung from 3.1x to 6.3x between runs of one build.
+   A hard gate: each time ratio must stay within 1.5x the block ratio,
+   so a superlinear term in any layer fails the bench (and `make
+   bench-smoke` / `make check` with it) once every section has run. *)
 let rewrite_scaling () =
   print_endline "\n== Static rewrite scaling: liveness, plan, verify ==";
   let module Rw = Patch_api.Rewriter in
   let slack = 1.5 and repeats = 5 in
-  let side setup run () =
+  let side ?(passes = 1) setup run () =
     let x = setup () in
-    fun () -> ignore (Sys.opaque_identity (run x)); 1.
+    fun () ->
+      for _ = 1 to passes do
+        ignore (Sys.opaque_identity (run x))
+      done;
+      float_of_int passes
   in
   (* one size: its block count and a side per layer *)
   let corpus n_funcs =
@@ -585,7 +591,8 @@ let rewrite_scaling () =
     ( n_funcs,
       Parse_api.Cfg.n_blocks cfg,
       [|
-        side ignore (fun () -> List.map (Dataflow_api.Liveness.analyze cfg) funcs);
+        side ~passes:8 ignore (fun () ->
+            List.map (Dataflow_api.Liveness.analyze cfg) funcs);
         side session Rw.plan;
         side
           (fun () ->
@@ -835,13 +842,15 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   in
   let interp_off = mips.(0) and block_off = mips.(1) in
   let interp_on = mips.(2) and block_on = mips.(3) in
-  (* the block cache's counters for one trace-off engine run *)
-  Rvsim.Bbcache.reset_stats ();
+  (* the block cache's counters for one trace-off engine run: registry
+     deltas across it *)
+  let count name = Dyn_obs.Registry.(counter_value (counter name)) in
+  let t0 = count "sim.bb.translated" and c0 = count "sim.bb.chain_hits"
+  and f0 = count "sim.icache.flushes" in
   ignore (side (Rvsim.Machine.Eng_block, false) () ());
-  let st = Rvsim.Bbcache.stats in
-  let translated = st.Rvsim.Bbcache.st_translated
-  and chain_hits = st.Rvsim.Bbcache.st_chain_hits
-  and flushes = Rvsim.Bbcache.flushes () in
+  let translated = count "sim.bb.translated" - t0
+  and chain_hits = count "sim.bb.chain_hits" - c0
+  and flushes = count "sim.icache.flushes" - f0 in
   let speedup_off = block_off /. interp_off in
   let speedup_on = block_on /. interp_on in
   Printf.printf "   %-12s %12s %12s\n" "engine" "trace-off" "trace-on";

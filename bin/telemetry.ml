@@ -1,7 +1,8 @@
 (* The --stats and --trace-out flags shared by rvrewrite, rvtrace and
    rvprof.  Either flag turns span tracing on; at exit --stats prints
-   the per-span totals and registry counters read back from that trace
-   (plus the block cache's counters), and --trace-out writes it. *)
+   the per-span totals read back from that trace and every nonzero
+   registry counter (the block engine's sim.bb.* among them), and
+   --trace-out writes it. *)
 
 open Cmdliner
 
@@ -27,9 +28,7 @@ let term =
 let start t = if t.stats || t.trace_out <> None then Dyn_obs.Trace.set_enabled true
 
 let finish t =
-  if t.stats then
-    Format.printf "%a  bbcache: %a@." Dyn_obs.Trace.pp_stats ()
-      Rvsim.Bbcache.pp_stats ();
+  if t.stats then Format.printf "%a%!" Dyn_obs.Trace.pp_stats ();
   Option.iter
     (fun path ->
       Dyn_obs.Trace.write_out path;

@@ -210,8 +210,7 @@ let approx_quantile_ns (hv : hview) (q : float) : int =
     if !b >= n_buckets - 1 then max_int else (1 lsl (!b + 1)) - 1
   end
 
-(* Zero every cell; registrations (and handles) survive.  Used by tests
-   and the Stats compat shim's [reset]. *)
+(* Zero every cell; registrations (and handles) survive. *)
 let reset () =
   SM.iter
     (fun _ m ->

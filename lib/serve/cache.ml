@@ -34,10 +34,9 @@
 module J = Dyn_util.Jsonw
 module Obs = Dyn_obs.Registry
 
-(* Registry mirrors of the per-cache stats struct: process-global (a
-   daemon runs one cache; tests that build several share the totals),
-   scraped by the metrics wire action.  The stats struct under [t.mu]
-   stays authoritative for stats_json. *)
+(* The cache's counters: process-global registry rows (a daemon runs
+   one cache; tests that build several share the totals), read by both
+   the metrics and the stats wire actions. *)
 let m_hits = Obs.counter "serve.cache.hits"
 let m_misses = Obs.counter "serve.cache.misses"
 let m_inserts = Obs.counter "serve.cache.inserts"
@@ -61,15 +60,6 @@ type entry = {
 
 type slot = Ready of entry | Pending
 
-type stats = {
-  mutable st_hits : int;
-  mutable st_misses : int;
-  mutable st_inserts : int;
-  mutable st_evictions : int;
-  mutable st_disk_hits : int;
-  mutable st_waits : int; (* singleflight collisions *)
-}
-
 type t = {
   mu : Mutex.t;
   cv : Condition.t;
@@ -80,7 +70,6 @@ type t = {
   mutable gen : int;
   mutable tick : int;
   mutable bytes : int; (* sum of Ready entry sizes *)
-  stats : stats;
 }
 
 (* Rough size of a value for the byte budget.  A Core.binary is
@@ -115,15 +104,6 @@ let create ?disk_dir ?(max_entries = 256) ?(max_bytes = 64 * 1024 * 1024) () =
       gen = 0;
       tick = 0;
       bytes = 0;
-      stats =
-        {
-          st_hits = 0;
-          st_misses = 0;
-          st_inserts = 0;
-          st_evictions = 0;
-          st_disk_hits = 0;
-          st_waits = 0;
-        };
     }
   in
   (match disk_dir with
@@ -223,7 +203,6 @@ let enforce_budget t =
     | Some (k, e) ->
         Hashtbl.remove t.tbl k;
         t.bytes <- t.bytes - e.e_size;
-        t.stats.st_evictions <- t.stats.st_evictions + 1;
         Obs.incr m_evictions;
         Obs.add g_entries (-1);
         Obs.add g_bytes (-e.e_size)
@@ -243,7 +222,6 @@ let rec get_or_compute t ~key (f : unit -> value) : value * bool =
   | Some (Ready e) when e.e_gen = t.gen ->
       t.tick <- t.tick + 1;
       e.e_tick <- t.tick;
-      t.stats.st_hits <- t.stats.st_hits + 1;
       Obs.incr m_hits;
       Mutex.unlock t.mu;
       (e.e_val, true)
@@ -256,13 +234,11 @@ let rec get_or_compute t ~key (f : unit -> value) : value * bool =
       Mutex.unlock t.mu;
       get_or_compute t ~key f
   | Some Pending ->
-      t.stats.st_waits <- t.stats.st_waits + 1;
       Obs.incr m_waits;
       Condition.wait t.cv t.mu;
       Mutex.unlock t.mu;
       get_or_compute t ~key f
   | None ->
-      t.stats.st_misses <- t.stats.st_misses + 1;
       Obs.incr m_misses;
       let gen0 = t.gen in
       Hashtbl.replace t.tbl key Pending;
@@ -292,14 +268,10 @@ let rec get_or_compute t ~key (f : unit -> value) : value * bool =
             in
             Hashtbl.replace t.tbl key (Ready entry);
             t.bytes <- t.bytes + entry.e_size;
-            t.stats.st_inserts <- t.stats.st_inserts + 1;
             Obs.incr m_inserts;
             Obs.add g_entries 1;
             Obs.add g_bytes entry.e_size;
-            if from_disk then begin
-              t.stats.st_disk_hits <- t.stats.st_disk_hits + 1;
-              Obs.incr m_disk_hits
-            end;
+            if from_disk then Obs.incr m_disk_hits;
             enforce_budget t
           end
           else
@@ -356,23 +328,15 @@ let mem_keys t =
 
 let stats_json t =
   Mutex.lock t.mu;
-  let s = t.stats in
   let j =
-    J.Obj
-      [
-        ("entries", J.Int (Int64.of_int (Hashtbl.length t.tbl)));
-        ("bytes", J.Int (Int64.of_int t.bytes));
-        ("max_entries", J.Int (Int64.of_int t.max_entries));
-        ("max_bytes", J.Int (Int64.of_int t.max_bytes));
-        ("generation", J.Int (Int64.of_int t.gen));
-        ("hits", J.Int (Int64.of_int s.st_hits));
-        ("misses", J.Int (Int64.of_int s.st_misses));
-        ("inserts", J.Int (Int64.of_int s.st_inserts));
-        ("evictions", J.Int (Int64.of_int s.st_evictions));
-        ("disk_hits", J.Int (Int64.of_int s.st_disk_hits));
-        ("waits", J.Int (Int64.of_int s.st_waits));
-        ("disk", match t.disk_dir with None -> J.Null | Some d -> J.String d);
-      ]
+    [
+      ("entries", J.Int (Int64.of_int (Hashtbl.length t.tbl)));
+      ("bytes", J.Int (Int64.of_int t.bytes));
+      ("max_entries", J.Int (Int64.of_int t.max_entries));
+      ("max_bytes", J.Int (Int64.of_int t.max_bytes));
+      ("generation", J.Int (Int64.of_int t.gen));
+      ("disk", match t.disk_dir with None -> J.Null | Some d -> J.String d);
+    ]
   in
   Mutex.unlock t.mu;
   j

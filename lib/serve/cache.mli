@@ -40,4 +40,7 @@ val mem_entries : t -> int
 (** Ready keys, most recently used first (for tests and debugging). *)
 val mem_keys : t -> string list
 
-val stats_json : t -> Dyn_util.Jsonw.t
+(** The instance's level and configuration as stats-payload members:
+    entries, bytes, budgets, generation and disk directory.  Its event
+    counts are the [serve.cache.*] registry counters. *)
+val stats_json : t -> (string * Dyn_util.Jsonw.t) list

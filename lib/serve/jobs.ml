@@ -28,26 +28,16 @@ module Trace = Dyn_obs.Trace
 
 let now_us () = Int64.of_float (Unix.gettimeofday () *. 1e6)
 
-(* Per-kind latency histograms and outcome counters.  Handles are
-   created lazily on first use of each action kind and memoized under a
-   mutex (a handful of kinds, looked up once per job). *)
-let m_ok = Obs.counter "serve.jobs.ok"
+(* Job kinds are a closed set: each kind's latency histogram and its
+   [job:<kind>] span name are built once, here.  A histogram's count is
+   the jobs of that kind; the jobs that succeeded are their sum minus
+   [serve.jobs.err]. *)
 let m_err = Obs.counter "serve.jobs.err"
-let hist_mu = Mutex.create ()
-let hists : (string, Obs.histogram) Hashtbl.t = Hashtbl.create 8
 
-let job_hist kind =
-  Mutex.lock hist_mu;
-  let h =
-    match Hashtbl.find_opt hists kind with
-    | Some h -> h
-    | None ->
-        let h = Obs.histogram (Printf.sprintf "serve.job.%s.latency_ns" kind) in
-        Hashtbl.replace hists kind h;
-        h
-  in
-  Mutex.unlock hist_mu;
-  h
+let kinds =
+  List.map
+    (fun k -> (k, (Obs.histogram ("serve.job." ^ k ^ ".latency_ns"), "job:" ^ k)))
+    [ "parse"; "lint"; "rewrite"; "verify"; "profile"; "trace" ]
 
 let read_file path : Bytes.t =
   let ic = open_in_bin path in
@@ -260,14 +250,14 @@ let exec ?stat ?domains (cache : Cache.t) (req : Wire.request) :
          (Wire.action_name req.Wire.rq_action))
   else begin
     let kind = Wire.action_name req.Wire.rq_action in
+    let hist, span = List.assoc kind kinds in
     let finish resp =
-      Obs.observe (job_hist kind) (Trace.now_ns () - t0_ns);
-      Obs.incr (if resp.Wire.rs_ok then m_ok else m_err);
+      Obs.observe hist (Trace.now_ns () - t0_ns);
+      if not resp.Wire.rs_ok then Obs.incr m_err;
       resp
     in
     finish
-    @@ Trace.with_span
-         (Printf.sprintf "job:%s" kind)
+    @@ Trace.with_span span
          ~args:[ ("id", Int64.to_string req.Wire.rq_id) ]
          (fun () ->
            try

@@ -8,8 +8,8 @@
 
    Observability: every task carries its enqueue timestamp, so the
    dequeue records the queue wait in the [serve.pool.queue_wait_ns]
-   histogram (and as a "pool:wait" trace span on the worker's track
-   when tracing is on); [serve.pool.queue_depth] is a gauge bumped on
+   histogram, whose count is the tasks run (and as a "pool:wait" trace
+   span on the worker's track when tracing is on); [serve.pool.queue_depth] is a gauge bumped on
    submit and dropped on dequeue, and each worker accumulates its busy
    nanoseconds in a [serve.pool.workerNN.busy_ns] counter — utilization
    is busy_ns over scrape-interval wall time.
@@ -22,7 +22,6 @@ module Obs = Dyn_obs.Registry
 module Trace = Dyn_obs.Trace
 
 let g_depth = Obs.gauge "serve.pool.queue_depth"
-let m_tasks = Obs.counter "serve.pool.tasks"
 let h_wait = Obs.histogram "serve.pool.queue_wait_ns"
 
 type t = {
@@ -32,7 +31,6 @@ type t = {
   mutable stop : bool;
   mutable domains : unit Domain.t list;
   n_domains : int;
-  mutable executed : int;
 }
 
 exception Stopped
@@ -47,10 +45,8 @@ let worker t i () =
     if Queue.is_empty t.q && t.stop then Mutex.unlock t.mu
     else begin
       let t_enq, task = Queue.pop t.q in
-      t.executed <- t.executed + 1;
       Mutex.unlock t.mu;
       Obs.add g_depth (-1);
-      Obs.incr m_tasks;
       let t0 = Trace.now_ns () in
       Obs.observe h_wait (t0 - t_enq);
       Trace.complete ~parent:"" ~t0_ns:t_enq ~t1_ns:t0 "pool:wait";
@@ -71,19 +67,12 @@ let create ~domains:n =
       stop = false;
       domains = [];
       n_domains = n;
-      executed = 0;
     }
   in
   t.domains <- List.init n (fun i -> Domain.spawn (worker t i));
   t
 
 let size t = t.n_domains
-
-let executed t =
-  Mutex.lock t.mu;
-  let n = t.executed in
-  Mutex.unlock t.mu;
-  n
 
 let submit t task =
   Mutex.lock t.mu;

@@ -14,9 +14,6 @@ val create : domains:int -> t
 
 val size : t -> int
 
-(** Tasks dequeued so far. *)
-val executed : t -> int
-
 val submit : t -> (unit -> unit) -> unit
 
 (** Run all thunks on the pool, block until done; results in input

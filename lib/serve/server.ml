@@ -11,7 +11,7 @@
 
    Threads (not domains) own the sockets because connection reading is
    I/O-bound — OCaml 5 systhreads share one domain and release the
-   runtime lock while blocked in [input_line], while the pool's domains
+   runtime lock while blocked on a read, while the pool's domains
    do the CPU work in parallel.
 
    Shutdown: the "shutdown" action (or [stop]) closes the listening
@@ -25,7 +25,6 @@ module J = Dyn_util.Jsonw
 module Obs = Dyn_obs.Registry
 module Trace = Dyn_obs.Trace
 
-let m_jobs = Obs.counter "serve.jobs.completed"
 let g_uptime = Obs.gauge "serve.uptime_us"
 let g_domains = Obs.gauge "serve.pool.domains"
 
@@ -49,7 +48,6 @@ type t = {
   mutable stopping : bool;
   mu : Mutex.t; (* guards stopping *)
   started : float;
-  jobs_done : int Atomic.t;
 }
 
 let log t fmt =
@@ -95,69 +93,88 @@ let metrics_payload t =
   J.to_string
     (J.Obj [ ("metrics", J.List (List.map row (Obs.snapshot ()))) ])
 
+(* The stats wire action: a view of the registry.  Apart from the
+   cache's level and configuration, the pool size and the uptime, every
+   number is the registry row it names (0 while the row is absent). *)
 let stats_payload t =
-  let stat_hits, stat_misses = Statcache.counts t.stat in
-  (* the process-wide superblock-engine counters: profile/trace jobs run
-     mutatees through the block engine *)
-  let bb = Rvsim.Bbcache.stats in
   let bi v = J.Int (Int64.of_int v) in
-  let bbcache =
-    J.Obj
-      [
-        ("translated", bi bb.Rvsim.Bbcache.st_translated);
-        ("executed", bi bb.Rvsim.Bbcache.st_blocks);
-        ("chain_hits", bi bb.Rvsim.Bbcache.st_chain_hits);
-        ("retranslated", bi bb.Rvsim.Bbcache.st_retrans);
-        ("timer_steps", bi bb.Rvsim.Bbcache.st_timer_steps);
-        ("singles", bi bb.Rvsim.Bbcache.st_singles);
-        ("evicted", bi bb.Rvsim.Bbcache.st_evicted);
-        ("flushes", bi (Rvsim.Bbcache.flushes ()));
-      ]
-  in
-  (* parallel-parser work counters from the metrics registry: task and
-     steal totals across every cold parse this process has run.  The
-     registry rows are absent until the first parse, so default to 0. *)
   let reg_count name =
     match Obs.find name with
     | Some { Obs.r_value = Obs.Counter_v v; _ } -> v
     | Some { Obs.r_value = Obs.Histogram_v hv; _ } -> hv.Obs.hv_count
     | _ -> 0
   in
-  let parse =
-    J.Obj
+  let rows kvs = List.map (fun (k, name) -> (k, bi (reg_count name))) kvs in
+  let cache =
+    Cache.stats_json t.cache
+    @ rows
+        [
+          ("hits", "serve.cache.hits");
+          ("misses", "serve.cache.misses");
+          ("inserts", "serve.cache.inserts");
+          ("evictions", "serve.cache.evictions");
+          ("disk_hits", "serve.cache.disk_hits");
+          ("waits", "serve.cache.singleflight_waits");
+        ]
+  in
+  (* profile/trace jobs run mutatees through the block engine *)
+  let bbcache =
+    rows
       [
-        ("domains", bi t.cfg.sc_parse_domains);
-        ("tasks", bi (reg_count "parse.tasks"));
-        ("steals", bi (reg_count "parse.steals"));
-        ("rounds", bi (reg_count "parse.rounds"));
-        ("merges", bi (reg_count "parse.merge_ns"));
+        ("translated", "sim.bb.translated");
+        ("executed", "sim.bb.blocks");
+        ("chain_hits", "sim.bb.chain_hits");
+        ("retranslated", "sim.bb.retranslated");
+        ("timer_steps", "sim.bb.timer_steps");
+        ("singles", "sim.bb.singles");
+        ("evicted", "sim.bb.evicted");
+        ("flushes", "sim.icache.flushes");
       ]
   in
-  (* symbolic-verifier site counters from this daemon's verify jobs;
-     zero until the first verification. *)
+  let parse =
+    ("domains", bi t.cfg.sc_parse_domains)
+    :: rows
+         [
+           ("tasks", "parse.tasks");
+           ("steals", "parse.steals");
+           ("rounds", "parse.rounds");
+           ("merges", "parse.merge_ns");
+         ]
+  in
   let verify =
-    J.Obj
+    rows
       [
-        ("sites_ok", bi (reg_count "verify.sites_ok"));
-        ("sites_failed", bi (reg_count "verify.sites_failed"));
-        ("sites_timeout", bi (reg_count "verify.sites_timeout"));
+        ("sites_ok", "verify.sites_ok");
+        ("sites_failed", "verify.sites_failed");
+        ("sites_timeout", "verify.sites_timeout");
       ]
+  in
+  (* every job observes its kind's latency histogram once *)
+  let jobs =
+    List.fold_left
+      (fun n (r : Obs.row) ->
+        match r.Obs.r_value with
+        | Obs.Histogram_v hv when String.starts_with ~prefix:"serve.job." r.Obs.r_name
+          ->
+            n + hv.Obs.hv_count
+        | _ -> n)
+      0 (Obs.snapshot ())
   in
   J.to_string
     (J.Obj
-       [
-         ("cache", Cache.stats_json t.cache);
-         ("bbcache", bbcache);
-         ("parse", parse);
-         ("verify", verify);
-         ("stat_hits", J.Int (Int64.of_int stat_hits));
-         ("stat_misses", J.Int (Int64.of_int stat_misses));
-         ("domains", J.Int (Int64.of_int (Pool.size t.pool)));
-         ("jobs", J.Int (Int64.of_int (Atomic.get t.jobs_done)));
-         ( "uptime_us",
-           J.Int (Int64.of_float ((Unix.gettimeofday () -. t.started) *. 1e6))
-         );
-       ])
+       ([
+          ("cache", J.Obj cache);
+          ("bbcache", J.Obj bbcache);
+          ("parse", J.Obj parse);
+          ("verify", J.Obj verify);
+        ]
+       @ rows [ ("stat_hits", "serve.stat.hits"); ("stat_misses", "serve.stat.misses") ]
+       @ [
+           ("domains", bi (Pool.size t.pool));
+           ("jobs", bi jobs);
+           ( "uptime_us",
+             J.Int (Int64.of_float ((Unix.gettimeofday () -. t.started) *. 1e6)) );
+         ]))
 
 let stop t =
   Mutex.lock t.mu;
@@ -171,6 +188,28 @@ let stop t =
   if first then
     try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
     with Unix.Unix_error _ -> ()
+
+(* Longest request line a connection may send.  A longer line gets one
+   request-too-large error and is skipped, so a client that never sends
+   a newline cannot grow the reader's buffer without bound. *)
+let max_request_bytes = 1 lsl 20
+
+(* The next request line, without its newline, read into [buf]. *)
+let read_request ic buf =
+  Buffer.clear buf;
+  let rec go over =
+    match input_char ic with
+    | '\n' -> if over then `Too_large else `Line (Buffer.contents buf)
+    | c ->
+        let over = over || Buffer.length buf >= max_request_bytes in
+        if not over then Buffer.add_char buf c;
+        go over
+    | exception End_of_file ->
+        if over then `Too_large
+        else if Buffer.length buf > 0 then `Line (Buffer.contents buf)
+        else `Eof
+  in
+  go false
 
 (* Per-connection reader.  [wmu] serializes response lines; pool
    workers for this connection share it via closure. *)
@@ -201,11 +240,17 @@ let handle_conn t fd =
     if !pending = 0 then Condition.broadcast pcv;
     Mutex.unlock wmu
   in
+  let buf = Buffer.create 256 in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line -> (
+    match read_request ic buf with
+    | exception Sys_error _ | `Eof -> ()
+    | `Too_large ->
+        send
+          (Wire.error_response ~id:(-1L) ~elapsed_us:0L
+             (Printf.sprintf "request-too-large: over %d bytes" max_request_bytes));
+        loop ()
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line -> (
         match Wire.decode_request line with
         | exception Wire.Wire_error msg ->
             send (Wire.error_response ~id:(-1L) ~elapsed_us:0L msg);
@@ -252,8 +297,6 @@ let handle_conn t fd =
                          Jobs.exec ~stat:t.stat
                            ~domains:t.cfg.sc_parse_domains t.cache req
                        in
-                       Atomic.incr t.jobs_done;
-                       Obs.incr m_jobs;
                        send resp;
                        job_done ())
                  with Pool.Stopped ->
@@ -294,7 +337,6 @@ let create ?(cache = Cache.create ()) (cfg : config) : t =
     stopping = false;
     mu = Mutex.create ();
     started = Unix.gettimeofday ();
-    jobs_done = Atomic.make 0;
   }
 
 (* Accept loop; returns after {!stop} (local or via a shutdown

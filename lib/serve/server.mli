@@ -20,6 +20,11 @@ type config = {
 
 type t
 
+(** Longest request line, in bytes, that a connection may send; a
+    longer one is answered with one [request-too-large] error and
+    skipped. *)
+val max_request_bytes : int
+
 (** Bind and listen (unlinking a stale socket file); spawn the pool.
     [cache] defaults to a fresh in-memory cache. *)
 val create : ?cache:Cache.t -> config -> t

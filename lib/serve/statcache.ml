@@ -11,7 +11,13 @@
    granularity) is the known, accepted limit of stat caching.
 
    Shared across domains under one mutex: lookups are two hashtable
-   probes, never I/O. *)
+   probes, never I/O.  Hits and misses count into process-global
+   registry rows. *)
+
+module Obs = Dyn_obs.Registry
+
+let m_hits = Obs.counter "serve.stat.hits"
+let m_misses = Obs.counter "serve.stat.misses"
 
 type fingerprint = {
   fp_dev : int;
@@ -24,12 +30,9 @@ type fingerprint = {
 type t = {
   mu : Mutex.t;
   tbl : (string, fingerprint * string) Hashtbl.t; (* path -> (fp, hex hash) *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
-let create () =
-  { mu = Mutex.create (); tbl = Hashtbl.create 64; hits = 0; misses = 0 }
+let create () = { mu = Mutex.create (); tbl = Hashtbl.create 64 }
 
 let fingerprint_of (st : Unix.stats) : fingerprint =
   {
@@ -51,13 +54,13 @@ let hash (t : t) (path : string) : string =
     | Some (fp', h) when fp' = fp -> Some h
     | _ -> None
   in
-  (match known with
-  | Some _ -> t.hits <- t.hits + 1
-  | None -> t.misses <- t.misses + 1);
   Mutex.unlock t.mu;
   match known with
-  | Some h -> h
+  | Some h ->
+      Obs.incr m_hits;
+      h
   | None ->
+      Obs.incr m_misses;
       let h = Dyn_util.Sha256.hex_of_file path in
       Mutex.lock t.mu;
       Hashtbl.replace t.tbl path (fp, h);
@@ -68,9 +71,3 @@ let clear t =
   Mutex.lock t.mu;
   Hashtbl.reset t.tbl;
   Mutex.unlock t.mu
-
-let counts t =
-  Mutex.lock t.mu;
-  let r = (t.hits, t.misses) in
-  Mutex.unlock t.mu;
-  r

@@ -1,7 +1,8 @@
 (** Path → content-hash memo keyed by stat(2) fingerprint (dev, inode,
     size, mtime, ctime) — spares warm requests the read+SHA-256 of an
     unchanged mutatee, with git-index-style staleness semantics.
-    Thread-safe. *)
+    Thread-safe.  Counts into the [serve.stat.hits] and
+    [serve.stat.misses] registry counters. *)
 
 type t
 
@@ -14,6 +15,3 @@ val hash : t -> string -> string
 
 (** Drop all memoized hashes (e.g. on cache flush). *)
 val clear : t -> unit
-
-(** [(hits, misses)] since creation. *)
-val counts : t -> int * int

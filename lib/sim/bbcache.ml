@@ -55,43 +55,35 @@
 
 open Riscv
 
-type stats = {
-  mutable st_translated : int; (* blocks translated *)
-  mutable st_blocks : int; (* block executions (fast path) *)
-  mutable st_chain_hits : int; (* dispatches resolved through a chain *)
-  mutable st_retrans : int; (* in-place observability-key retranslations *)
-  mutable st_timer_steps : int; (* precise steps across a timer deadline *)
-  mutable st_singles : int; (* precise steps for budget/uncached pcs *)
-  mutable st_evicted : int; (* blocks dropped by the residency bound *)
-}
+(* The engine's counters live in the registry.  The block loop only
+   bumps plain fields of the running machine; [run] moves them to these
+   rows once per call, on every exit path. *)
+module Obs = Dyn_obs.Registry
 
-let stats =
-  { st_translated = 0; st_blocks = 0; st_chain_hits = 0; st_retrans = 0;
-    st_timer_steps = 0; st_singles = 0; st_evicted = 0 }
+let m_translated = Obs.counter "sim.bb.translated"
+let m_blocks = Obs.counter "sim.bb.blocks"
+let m_chain_hits = Obs.counter "sim.bb.chain_hits"
+let m_retrans = Obs.counter "sim.bb.retranslated"
+let m_timer_steps = Obs.counter "sim.bb.timer_steps"
+let m_singles = Obs.counter "sim.bb.singles"
+let m_evicted = Obs.counter "sim.bb.evicted"
 
-(* [Machine.flush_counter] is shared history for the whole stack (the
-   trace ring, ProcControl patches and tests all flush); resetting our
-   stats must not erase it, so we snapshot a baseline instead. *)
-let flush_base = ref 0
-
-let reset_stats () =
-  stats.st_translated <- 0;
-  stats.st_blocks <- 0;
-  stats.st_chain_hits <- 0;
-  stats.st_retrans <- 0;
-  stats.st_timer_steps <- 0;
-  stats.st_singles <- 0;
-  stats.st_evicted <- 0;
-  flush_base := !Machine.flush_counter
-
-let flushes () = !Machine.flush_counter - !flush_base
-
-let pp_stats fmt () =
-  Format.fprintf fmt
-    "blocks translated %d, executed %d (chain hits %d), flushes %d, evicted %d, \
-     obs retranslations %d, timer-boundary insns %d"
-    stats.st_translated stats.st_blocks stats.st_chain_hits (flushes ())
-    stats.st_evicted stats.st_retrans stats.st_timer_steps
+let publish (t : Machine.t) =
+  let move c n = if n <> 0 then Obs.incr ~by:n c in
+  move m_translated t.Machine.bb_translated;
+  move m_blocks t.Machine.bb_blocks;
+  move m_chain_hits t.Machine.bb_chain_hits;
+  move m_retrans t.Machine.bb_retrans;
+  move m_timer_steps t.Machine.bb_timer_steps;
+  move m_singles t.Machine.bb_singles;
+  move m_evicted t.Machine.bb_evicted;
+  t.Machine.bb_translated <- 0;
+  t.Machine.bb_blocks <- 0;
+  t.Machine.bb_chain_hits <- 0;
+  t.Machine.bb_retrans <- 0;
+  t.Machine.bb_timer_steps <- 0;
+  t.Machine.bb_singles <- 0;
+  t.Machine.bb_evicted <- 0
 
 (* --- translation ---------------------------------------------------------- *)
 
@@ -378,7 +370,7 @@ let translate (t : Machine.t) (r : Machine.region) (pc0 : int64) : Machine.block
        chaining it would thrash the two slots *)
     match term with Some i -> i.Insn.op <> Op.JALR | None -> true
   in
-  stats.st_translated <- stats.st_translated + 1;
+  t.Machine.bb_translated <- t.Machine.bb_translated + 1;
   {
     Machine.bk_pc = pc0;
     bk_term_pc = term_pc;
@@ -428,7 +420,7 @@ let enforce_cap (t : Machine.t) =
         | Some _ ->
             r.Machine.bslots.(slot) <- None;
             t.Machine.bb_live <- t.Machine.bb_live - 1;
-            stats.st_evicted <- stats.st_evicted + 1;
+            t.Machine.bb_evicted <- t.Machine.bb_evicted + 1;
             evicted := true
       done
     done
@@ -459,7 +451,7 @@ let lookup (t : Machine.t) pc : Machine.block option =
                counted in bb_live — only the translation is replaced. *)
             let b = translate t r pc in
             r.Machine.bslots.(slot) <- Some b;
-            stats.st_retrans <- stats.st_retrans + 1;
+            t.Machine.bb_retrans <- t.Machine.bb_retrans + 1;
             Some b
         | None ->
             let b = translate t r pc in
@@ -546,7 +538,7 @@ let run ?(max_steps = max_int) (t : Machine.t) : Machine.stop =
         | Some p -> (
             match chain_get t p t.Machine.icache_gen pc with
             | Some _ as hit ->
-                stats.st_chain_hits <- stats.st_chain_hits + 1;
+                t.Machine.bb_chain_hits <- t.Machine.bb_chain_hits + 1;
                 hit
             | None ->
                 let b = lookup t pc in
@@ -559,26 +551,29 @@ let run ?(max_steps = max_int) (t : Machine.t) : Machine.stop =
         when steps + b.Machine.bk_ninsns + 1 <= max_steps && not (timer_due t b)
         ->
           exec_block t b;
-          stats.st_blocks <- stats.st_blocks + 1;
+          t.Machine.bb_blocks <- t.Machine.bb_blocks + 1;
           go (steps + b.Machine.bk_ninsns + 1) (Some b)
       | Some b ->
           (* timer deadline inside the block, or not enough budget left
              for a whole block: one precise step, then re-dispatch (a
              mid-block pc translates its own tail block) *)
           if timer_due t b then
-            stats.st_timer_steps <- stats.st_timer_steps + 1
-          else stats.st_singles <- stats.st_singles + 1;
+            t.Machine.bb_timer_steps <- t.Machine.bb_timer_steps + 1
+          else t.Machine.bb_singles <- t.Machine.bb_singles + 1;
           Machine.exec_step t;
           go (steps + 1) None
       | None ->
           (* unregistered or misaligned pc: fall back to one precise step *)
           Machine.exec_step t;
-          stats.st_singles <- stats.st_singles + 1;
+          t.Machine.bb_singles <- t.Machine.bb_singles + 1;
           go (steps + 1) None
   in
-  match go 0 None with
-  | s -> s
-  | exception Machine.Stopped s -> s
-  | exception Mem.Fault a -> Machine.Fault ("memory fault", a)
+  Fun.protect
+    ~finally:(fun () -> publish t)
+    (fun () ->
+      match go 0 None with
+      | s -> s
+      | exception Machine.Stopped s -> s
+      | exception Mem.Fault a -> Machine.Fault ("memory fault", a))
 
 let () = Machine.install_block_engine (fun ~max_steps t -> run ~max_steps t)

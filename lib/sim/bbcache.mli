@@ -16,29 +16,9 @@
     architectural state, cycles, instret, HPM counts, trace-hook calls
     and timer firing points. *)
 
-(** Run until a stop event or [max_steps] on the block engine. *)
+(** Run until a stop event or [max_steps] on the block engine.  Before
+    it returns or raises, the run's engine counts move from the
+    machine's [bb_*] fields to the [sim.bb.*] registry counters
+    ([translated], [blocks], [chain_hits], [retranslated],
+    [timer_steps], [singles], [evicted]). *)
 val run : ?max_steps:int -> Machine.t -> Machine.stop
-
-type stats = {
-  mutable st_translated : int;  (** blocks translated *)
-  mutable st_blocks : int;  (** block executions (fast path) *)
-  mutable st_chain_hits : int;  (** dispatches resolved through a chain *)
-  mutable st_retrans : int;
-      (** in-place retranslations after a trace/HPM configuration change *)
-  mutable st_timer_steps : int;
-      (** precise steps taken because a timer deadline could fall inside
-          a block *)
-  mutable st_singles : int;  (** precise steps for budget/uncached pcs *)
-  mutable st_evicted : int;
-      (** blocks dropped by the [Machine.bb_cap] residency bound *)
-}
-
-(** Process-wide counters since start (or the last {!reset_stats}). *)
-val stats : stats
-
-val reset_stats : unit -> unit
-
-(** {!Machine.flush_icache} invocations since start/reset. *)
-val flushes : unit -> int
-
-val pp_stats : Format.formatter -> unit -> unit

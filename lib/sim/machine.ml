@@ -69,6 +69,16 @@ and t = {
   mutable bb_live : int; (* live translated blocks across all regions *)
   mutable bb_cap : int; (* residency cap; <= 0 = unbounded *)
   bb_fifo : (region * int) Queue.t; (* (region, bslot index), FIFO *)
+  (* block-engine event counts not yet published: plain field writes in
+     the block loop, moved to the sim.bb.* registry counters when
+     Bbcache.run exits *)
+  mutable bb_translated : int;
+  mutable bb_blocks : int;
+  mutable bb_chain_hits : int;
+  mutable bb_retrans : int;
+  mutable bb_timer_steps : int;
+  mutable bb_singles : int;
+  mutable bb_evicted : int;
 }
 
 (* A translated straight-line run of instructions: the body as pre-bound
@@ -130,6 +140,13 @@ let create ?(model = Cost.p550) () =
        same role the artifact cache's entry cap plays server-side *)
     bb_cap = 4096;
     bb_fifo = Queue.create ();
+    bb_translated = 0;
+    bb_blocks = 0;
+    bb_chain_hits = 0;
+    bb_retrans = 0;
+    bb_timer_steps = 0;
+    bb_singles = 0;
+    bb_evicted = 0;
   }
 
 let get_reg t r = if r = 0 then 0L else t.regs.(r)
@@ -161,9 +178,7 @@ let bump_hpm_event t ev =
       if t.hpm_event.(k) = ev then t.hpm.(k) <- Int64.add t.hpm.(k) 1L
     done
 
-(* Flushes since process start, for the block-cache statistics surfaced
-   by the tools' --stats flag. *)
-let flush_counter = ref 0
+let m_flushes = Dyn_obs.Registry.counter "sim.icache.flushes"
 
 let flush_icache t =
   Array.iter
@@ -175,7 +190,7 @@ let flush_icache t =
   t.icache_gen <- t.icache_gen + 1;
   Queue.clear t.bb_fifo;
   t.bb_live <- 0;
-  incr flush_counter;
+  Dyn_obs.Registry.incr m_flushes;
   bump_hpm_event t Cost.Ev_flush
 
 let in_region r (pc : int64) =

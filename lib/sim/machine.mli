@@ -66,6 +66,16 @@ and t = {
       (** superblock-cache residency cap, enforced CLOCK-style by the
           block engine; [<= 0] disables the bound *)
   bb_fifo : (region * int) Queue.t;  (** translation order, for eviction *)
+  mutable bb_translated : int;
+      (** block-engine event counts since the last publish: the engine
+          bumps these fields, and {!run} moves them to the [sim.bb.*]
+          registry counters before it returns *)
+  mutable bb_blocks : int;
+  mutable bb_chain_hits : int;
+  mutable bb_retrans : int;
+  mutable bb_timer_steps : int;
+  mutable bb_singles : int;
+  mutable bb_evicted : int;
 }
 
 (** A translated straight-line superblock: pre-bound micro-op closures
@@ -103,7 +113,8 @@ val set_freg : t -> int -> int64 -> unit
 val add_code_region : t -> base:int64 -> size:int -> region
 
 (** Drop all cached decodes and translated blocks (FENCE.I semantics;
-    call after patching). *)
+    call after patching); counts into the [sim.icache.flushes] registry
+    counter. *)
 val flush_icache : t -> unit
 
 (** Raised by {!csr_read}/{!csr_write} for unimplemented CSR numbers or
@@ -151,4 +162,3 @@ val decode_at : t -> int64 -> Riscv.Insn.t option
 val in_region : region -> int64 -> bool
 val find_region : t -> int64 -> region option
 val install_block_engine : (max_steps:int -> t -> stop) -> unit
-val flush_counter : int ref

@@ -42,6 +42,9 @@ let fib_copy =
 
 let job ?(id = 1L) path action = { Wire.rq_id = id; rq_path = path; rq_action = action }
 
+(* a registry counter's current value; tests read deltas across a run *)
+let counter name = Dyn_obs.Registry.(counter_value (counter name))
+
 (* --- sha256 --- *)
 
 let test_sha_vectors () =
@@ -268,11 +271,12 @@ let test_statcache_memo () =
     close_out oc
   in
   write "content one";
+  let hits0 = counter "serve.stat.hits" in
   let h1 = Sc.hash sc p in
   let h2 = Sc.hash sc p in
   Alcotest.(check string) "memoized" h1 h2;
   Alcotest.(check string) "correct hash" (Sha.hex_of_string "content one") h1;
-  Alcotest.(check bool) "second was a hit" true (fst (Sc.counts sc) >= 1);
+  Alcotest.(check bool) "second was a hit" true (counter "serve.stat.hits" > hits0);
   (* changing the content (size changes -> fingerprint changes) rehashes *)
   write "content one plus";
   let h3 = Sc.hash sc p in
@@ -283,12 +287,12 @@ let test_statcache_memo () =
 let test_statcache_exec_path () =
   let sc = Serve_api.Statcache.create () in
   let c = Cache.create () in
+  let hits0 = counter "serve.stat.hits" in
   let r1 = Jobs.exec ~stat:sc c (job (Lazy.force fib_elf) Wire.Lint) in
   let r2 = Jobs.exec ~stat:sc c (job (Lazy.force fib_elf) Wire.Lint) in
   Alcotest.(check bool) "warm via stat memo" true r2.Wire.rs_cached;
   Alcotest.(check string) "same payload" r1.Wire.rs_payload r2.Wire.rs_payload;
-  Alcotest.(check bool) "stat hit recorded" true
-    (fst (Serve_api.Statcache.counts sc) >= 1)
+  Alcotest.(check bool) "stat hit recorded" true (counter "serve.stat.hits" > hits0)
 
 (* --- warm/cold differential: cached results byte-match cold ones --- *)
 
@@ -434,8 +438,10 @@ let test_pool_captures_exceptions () =
 
 (* --- end to end over the socket --- *)
 
-let test_server_session () =
-  let sock = Filename.concat temp_dir "e2e.sock" in
+(* A daemon on a fresh socket with a 2-domain pool: connect, run
+   [f ~send_line ~recv], then shut it down and check that it exits. *)
+let with_server name f =
+  let sock = Filename.concat temp_dir name in
   let srv =
     Serve_api.Server.create
       {
@@ -451,16 +457,30 @@ let test_server_session () =
   Unix.connect fd (Unix.ADDR_UNIX sock);
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let send r =
-    output_string oc (Wire.encode_request r);
+  let send_line l =
+    output_string oc l;
     output_char oc '\n';
     flush oc
   in
+  let recv () = Wire.decode_response (input_line ic) in
+  f ~send_line ~recv;
+  send_line (Wire.encode_request { Wire.rq_id = 6L; rq_path = ""; rq_action = Wire.Shutdown });
+  let bye = recv () in
+  Alcotest.(check bool) "bye ok" true bye.Wire.rs_ok;
+  Unix.close fd;
+  Domain.join server_domain;
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
+
+let control id action = { Wire.rq_id = id; rq_path = ""; rq_action = action }
+
+let test_server_session () =
+  with_server "e2e.sock" @@ fun ~send_line ~recv ->
+  let send r = send_line (Wire.encode_request r) in
   let fib = Lazy.force fib_elf and copy = Lazy.force fib_copy in
   send (job ~id:1L fib Wire.Lint);
   send (job ~id:2L copy Wire.Lint);
   send (job ~id:3L fib Wire.Parse);
-  let responses = List.init 3 (fun _ -> Wire.decode_response (input_line ic)) in
+  let responses = List.init 3 (fun _ -> recv ()) in
   let by_id id = List.find (fun r -> r.Wire.rs_id = id) responses in
   List.iter (fun r -> Alcotest.(check bool) "ok" true r.Wire.rs_ok) responses;
   Alcotest.(check string)
@@ -469,16 +489,16 @@ let test_server_session () =
     "identical payload over the wire" (by_id 1L).Wire.rs_payload
     (by_id 2L).Wire.rs_payload;
   (* stats after all three job responses: the counter must have caught up *)
-  send { Wire.rq_id = 4L; rq_path = ""; rq_action = Wire.Stats };
-  let stats_resp = Wire.decode_response (input_line ic) in
+  send (control 4L Wire.Stats);
+  let stats_resp = recv () in
   Alcotest.(check bool) "stats ok" true stats_resp.Wire.rs_ok;
   let stats = J.of_string stats_resp.Wire.rs_payload in
   Alcotest.(check bool)
     "stats counts jobs" true
     (J.to_int64 (J.member "jobs" stats) >= 3L);
   (* metrics scrape: registry rows with the cache/job instruments *)
-  send { Wire.rq_id = 5L; rq_path = ""; rq_action = Wire.Metrics };
-  let metrics_resp = Wire.decode_response (input_line ic) in
+  send (control 5L Wire.Metrics);
+  let metrics_resp = recv () in
   Alcotest.(check bool) "metrics ok" true metrics_resp.Wire.rs_ok;
   let rows =
     J.to_list (J.member "metrics" (J.of_string metrics_resp.Wire.rs_payload))
@@ -508,20 +528,84 @@ let test_server_session () =
     (List.sort compare names = names);
   (* a malformed number gets an error response, and the connection
      still answers afterwards *)
-  output_string oc "{\"id\":-,\"action\":\"ping\"}\n";
-  flush oc;
-  let bad = Wire.decode_response (input_line ic) in
+  send_line "{\"id\":-,\"action\":\"ping\"}";
+  let bad = recv () in
   Alcotest.(check bool) "malformed line answered with an error" false bad.Wire.rs_ok;
-  send { Wire.rq_id = 7L; rq_path = ""; rq_action = Wire.Ping };
-  let pong = Wire.decode_response (input_line ic) in
+  send (control 7L Wire.Ping);
+  let pong = recv () in
   Alcotest.(check bool) "ping after the bad line" true pong.Wire.rs_ok;
   Alcotest.(check string) "pong" "\"pong\"" pong.Wire.rs_payload;
-  send { Wire.rq_id = 6L; rq_path = ""; rq_action = Wire.Shutdown };
-  let bye = Wire.decode_response (input_line ic) in
-  Alcotest.(check bool) "bye ok" true bye.Wire.rs_ok;
-  Unix.close fd;
-  Domain.join server_domain;
-  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
+  (* a line over the cap gets one request-too-large error, the rest of
+     it is skipped, and the connection keeps serving *)
+  send_line (String.make (Serve_api.Server.max_request_bytes + 4096) 'x');
+  let big = recv () in
+  Alcotest.(check bool) "over-cap line refused" false big.Wire.rs_ok;
+  Alcotest.(check bool)
+    "request-too-large" true
+    (String.starts_with ~prefix:"request-too-large" big.Wire.rs_error);
+  send (control 8L Wire.Ping);
+  let pong = recv () in
+  Alcotest.(check int64) "ping after the over-cap line" 8L pong.Wire.rs_id;
+  Alcotest.(check string) "pong again" "\"pong\"" pong.Wire.rs_payload
+
+(* One fact, two views: the block engine's counts are per-machine
+   fields published to the registry once per run, so concurrent jobs
+   lose none; and the stats action reads the very rows the registry
+   holds. *)
+let test_one_fact_two_views () =
+  let path = Lazy.force fib_elf in
+  let trace =
+    Wire.Trace
+      { Wire.ts_blocks = true; ts_calls = true; ts_returns = false; ts_mem = false; ts_funcs = [] }
+  in
+  let cold () =
+    let r = Jobs.exec (Cache.create ()) (job path trace) in
+    Alcotest.(check bool) "trace job ok" true r.Wire.rs_ok
+  in
+  let deltas f =
+    let b0 = counter "sim.bb.blocks" and t0 = counter "sim.bb.translated" in
+    f ();
+    (counter "sim.bb.blocks" - b0, counter "sim.bb.translated" - t0)
+  in
+  let blocks1, translated1 = deltas cold in
+  Alcotest.(check bool) "one job runs blocks" true (blocks1 > 0 && translated1 > 0);
+  let k = 6 in
+  let pool = Pool.create ~domains:2 in
+  let blocks_k, translated_k =
+    deltas (fun () ->
+        List.iter
+          (function Ok () -> () | Error e -> raise e)
+          (Pool.run_batch pool (List.init k (fun _ -> cold))))
+  in
+  Pool.shutdown pool;
+  Alcotest.(check int) "K jobs' blocks" (k * blocks1) blocks_k;
+  Alcotest.(check int) "K jobs' translations" (k * translated1) translated_k;
+  with_server "views.sock" @@ fun ~send_line ~recv ->
+  send_line (Wire.encode_request (job ~id:1L path trace));
+  send_line (Wire.encode_request (job ~id:2L path Wire.Lint));
+  send_line (Wire.encode_request (job ~id:3L (Lazy.force fib_copy) Wire.Lint));
+  List.iter (fun _ -> Alcotest.(check bool) "job ok" true (recv ()).Wire.rs_ok) [ 1; 2; 3 ];
+  send_line (Wire.encode_request (control 4L Wire.Stats));
+  let stats = J.of_string (recv ()).Wire.rs_payload in
+  let field path =
+    J.to_int (List.fold_left (fun j k -> J.member k j) stats path)
+  in
+  let jobs =
+    List.fold_left
+      (fun n (r : Dyn_obs.Registry.row) ->
+        match r.Dyn_obs.Registry.r_value with
+        | Dyn_obs.Registry.Histogram_v hv
+          when String.starts_with ~prefix:"serve.job." r.Dyn_obs.Registry.r_name ->
+            n + hv.Dyn_obs.Registry.hv_count
+        | _ -> n)
+      0 (Dyn_obs.Registry.snapshot ())
+  in
+  Alcotest.(check bool) "the copy hit" true (field [ "cache"; "hits" ] > 0);
+  Alcotest.(check int) "bbcache.executed = sim.bb.blocks" (counter "sim.bb.blocks")
+    (field [ "bbcache"; "executed" ]);
+  Alcotest.(check int) "cache.hits = serve.cache.hits" (counter "serve.cache.hits")
+    (field [ "cache"; "hits" ]);
+  Alcotest.(check int) "jobs = the latency histograms' counts" jobs (field [ "jobs" ])
 
 (* --- superblock code-cache residency bound --- *)
 
@@ -530,9 +614,9 @@ let run_with_cap cap =
   let p = Rvsim.Loader.load img in
   let m = p.Rvsim.Loader.machine in
   m.Rvsim.Machine.bb_cap <- cap;
-  Rvsim.Bbcache.reset_stats ();
+  let evicted0 = counter "sim.bb.evicted" in
   let stop, _ = Rvsim.Loader.run p in
-  (stop, m, Rvsim.Bbcache.stats.Rvsim.Bbcache.st_evicted)
+  (stop, m, counter "sim.bb.evicted" - evicted0)
 
 let test_bbcache_cap_bounds_residency () =
   let stop_unbounded, m0, ev0 = run_with_cap 0 in
@@ -605,7 +689,11 @@ let () =
           Alcotest.test_case "captures exceptions" `Quick
             test_pool_captures_exceptions;
         ] );
-      ( "server", [ Alcotest.test_case "e2e session" `Quick test_server_session ] );
+      ( "server",
+        [
+          Alcotest.test_case "e2e session" `Quick test_server_session;
+          Alcotest.test_case "one fact, two views" `Quick test_one_fact_two_views;
+        ] );
       ( "bbcache",
         [
           Alcotest.test_case "cap bounds residency" `Quick

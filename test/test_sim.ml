@@ -655,22 +655,19 @@ let test_engine_limit_parity () =
     check64 "a0 parity" a1 a2
   done
 
-let test_reset_stats_preserves_flushes () =
-  (* regression: reset_stats used to zero the process-wide flush
-     counter, erasing icache-flush history shared with the rest of the
-     stack; it must snapshot a baseline instead *)
+(* a registry counter's current value; tests read deltas across a run *)
+let counter name = Dyn_obs.Registry.(counter_value (counter name))
+
+let test_flush_counts_one () =
+  (* the flush count lives in one registry row: each flush_icache
+     advances it by exactly one, on any machine *)
   let m = Machine.create () in
   ignore (Machine.add_code_region m ~base:0x4000L ~size:0x100);
-  let before = !Machine.flush_counter in
+  let before = counter "sim.icache.flushes" in
   Machine.flush_icache m;
-  Alcotest.(check int) "global counter advanced" (before + 1)
-    !Machine.flush_counter;
-  Bbcache.reset_stats ();
-  Alcotest.(check int) "reset preserves global history" (before + 1)
-    !Machine.flush_counter;
-  Alcotest.(check int) "window restarts at zero" 0 (Bbcache.flushes ());
-  Machine.flush_icache m;
-  Alcotest.(check int) "window counts new flushes" 1 (Bbcache.flushes ())
+  Alcotest.(check int) "one flush" (before + 1) (counter "sim.icache.flushes");
+  Machine.flush_icache (Machine.create ());
+  Alcotest.(check int) "one more" (before + 2) (counter "sim.icache.flushes")
 
 let test_timer_midblock_parity () =
   (* a timer whose deadline falls inside translated blocks: the block
@@ -700,7 +697,7 @@ let test_timer_midblock_parity () =
     let stop, _ = Loader.run p in
     (exit_code stop, List.rev !fires, m.Machine.cycles, m.Machine.instret)
   in
-  Bbcache.reset_stats ();
+  let steps0 = counter "sim.bb.timer_steps" in
   let c2, f2, cy2, i2 = observe Machine.Eng_block in
   let c1, f1, cy1, i1 = observe Machine.Eng_interp in
   Alcotest.(check int) "exit parity" c1 c2;
@@ -710,7 +707,7 @@ let test_timer_midblock_parity () =
   Alcotest.(check bool) "timer actually fired mid-run" true (List.length f1 > 2);
   Alcotest.(check bool)
     "block engine rolled back to precise steps" true
-    (Bbcache.stats.Bbcache.st_timer_steps > 0)
+    (counter "sim.bb.timer_steps" > steps0)
 
 let test_hpm_toggle_retranslates () =
   (* the code cache is keyed on the observability configuration:
@@ -753,10 +750,11 @@ let test_hpm_toggle_retranslates () =
     let h2 = Array.copy m.Machine.hpm in
     (h0, h1, h2)
   in
-  Bbcache.reset_stats ();
+  let retrans0 = counter "sim.bb.retranslated"
+  and flushes0 = counter "sim.icache.flushes" in
   let b0, b1, b2 = phases Machine.Eng_block in
-  let retrans = Bbcache.stats.Bbcache.st_retrans in
-  let flushes = Bbcache.flushes () in
+  let retrans = counter "sim.bb.retranslated" - retrans0 in
+  let flushes = counter "sim.icache.flushes" - flushes0 in
   let a0, a1, a2 = phases Machine.Eng_interp in
   List.iter2
     (fun (name, a) b ->
@@ -781,11 +779,11 @@ let test_traced_selfmod_fence_i () =
     let stop, _ = Loader.run p in
     (exit_code stop, !count)
   in
-  Bbcache.reset_stats ();
+  let blocks0 = counter "sim.bb.blocks" in
   let c2, n2 = observe Machine.Eng_block in
   Alcotest.(check bool)
     "fast path actually ran blocks" true
-    (Bbcache.stats.Bbcache.st_blocks > 0);
+    (counter "sim.bb.blocks" > blocks0);
   let c1, n1 = observe Machine.Eng_interp in
   Alcotest.(check int) "patched result (block engine)" 21 c2;
   Alcotest.(check int) "patched result (interpreter)" 21 c1;
@@ -848,8 +846,8 @@ let () =
           Alcotest.test_case "self-modification through a chain" `Quick
             test_selfmod_chained_blocks;
           Alcotest.test_case "step-budget parity" `Quick test_engine_limit_parity;
-          Alcotest.test_case "reset_stats preserves flush history" `Quick
-            test_reset_stats_preserves_flushes;
+          Alcotest.test_case "flush_icache counts one flush" `Quick
+            test_flush_counts_one;
           Alcotest.test_case "timer mid-block parity" `Quick
             test_timer_midblock_parity;
           Alcotest.test_case "hpm toggle retranslates" `Quick
