@@ -1,5 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§4), plus the ablations listed in DESIGN.md.
+(* Benchmark harness: regenerates every table of the paper's evaluation
+   (§4), plus the ablations listed in DESIGN.md.  Figures 1 and 2 are
+   behavioural: examples/flows.ml and bin/components.exe.
 
    Default mode prints the §4.3 overhead table (x86/CISC-64 column and
    RISC-V column) from *simulated* elapsed time — the mutatee itself
@@ -8,11 +9,7 @@
    Absolute seconds are synthetic (simulator cycle model); the paper's
    observable — who has more overhead and by roughly what factor — is
    the reproduced quantity.  EXPERIMENTS.md records a paper-vs-measured
-   comparison.
-
-   `--bechamel` additionally runs wall-clock microbenches (one
-   Bechamel Test.make per table/ablation row) for the toolkit itself:
-   parsing, liveness, codegen, simulation speed. *)
+   comparison. *)
 
 module J = Dyn_util.Jsonw
 
@@ -135,17 +132,12 @@ let rv_traced (b : Core.binary) (opts : Trace_api.Tracer.opts) :
     Trace_api.Tracer.instrument m.Core.rw b.Core.cfg ~ring
       ~funcs:[ "multiply" ] opts
   in
-  let img = Core.rewrite m in
-  let p = Rvsim.Loader.load img in
-  let sink = Trace_api.Sink.create ring in
-  Trace_api.Sink.install sink p.Rvsim.Loader.os;
-  match Rvsim.Loader.run p with
-  | Rvsim.Machine.Exited 0, out ->
-      Trace_api.Sink.drain sink p.Rvsim.Loader.machine;
+  match Trace_api.Sink.run ring (Core.rewrite m) with
+  | sink, Rvsim.Machine.Exited 0, out ->
       ( Int64.of_string (String.trim out),
         Trace_api.Sink.n_records sink,
         Trace_api.Sink.flushes sink )
-  | stop, _ ->
+  | _, stop, _ ->
       Format.kasprintf failwith "traced mutatee failed: %a"
         Rvsim.Machine.pp_stop stop
 
@@ -642,119 +634,6 @@ let rewrite_scaling () =
     (Array.to_list ratios)
 
 (* ------------------------------------------------------------------ *)
-(* Figures 1 & 2 are architecture diagrams: exercised behaviourally      *)
-(* ------------------------------------------------------------------ *)
-
-let figure_flows () =
-  print_endline "\n== Figure 1 flows (static / create / attach) ==";
-  let src = Minicc.Programs.matmul ~n:6 ~reps:1 in
-  let b = Core.open_image (Minicc.Driver.compile src).Minicc.Driver.image in
-  (* static *)
-  let m = Core.create_mutator b in
-  let c1 = Core.create_counter m "static" in
-  Core.insert m (Core.at_entry b "multiply") [ Codegen_api.Snippet.incr c1 ];
-  let img = Core.rewrite m in
-  let p = Rvsim.Loader.load img in
-  let _ = Rvsim.Loader.run p in
-  Printf.printf "   static rewrite:        counter=%Ld\n"
-    (Rvsim.Mem.read64 p.Rvsim.Loader.machine.Rvsim.Machine.mem
-       c1.Codegen_api.Snippet.v_addr);
-  (* dynamic: create-and-instrument, then attach-and-instrument *)
-  List.iter
-    (fun how ->
-      let m = Core.create_mutator b in
-      let c = Core.create_counter m how in
-      Core.insert m (Core.at_entry b "multiply") [ Codegen_api.Snippet.incr c ];
-      let proc = Core.launch (Core.image b) in
-      Core.instrument_process m proc;
-      let _ = Core.continue_ proc in
-      Printf.printf "   %s-and-instrument: counter=%Ld\n" how (Core.read_counter proc c))
-    [ "create"; "attach" ]
-
-let figure_components () =
-  print_endline "\n== Figure 2: component map ==";
-  List.iter
-    (fun (c, deps) ->
-      Printf.printf "   %-16s <- %s\n" c
-        (if deps = [] then "(leaf)" else String.concat ", " deps))
-    Core.components
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock microbenches                                     *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benches () =
-  let open Bechamel in
-  let src = Minicc.Programs.matmul ~n:8 ~reps:1 in
-  let compiled = Minicc.Driver.compile src in
-  let img = compiled.Minicc.Driver.image in
-  let st = Symtab.of_image img in
-  let cfg = Parse_api.Parser.parse st in
-  let mult =
-    List.find
-      (fun f -> f.Parse_api.Cfg.f_name = "multiply")
-      (Parse_api.Cfg.functions cfg)
-  in
-  let code =
-    (List.hd (Symtab.code_regions st)).Symtab.rg_data
-  in
-  let tests =
-    [
-      Test.make ~name:"decode-region"
-        (Staged.stage (fun () ->
-             ignore (Instruction.disassemble_all ~base:0x10000L code)));
-      Test.make ~name:"parse-cfg"
-        (Staged.stage (fun () -> ignore (Parse_api.Parser.parse st)));
-      Test.make ~name:"liveness-multiply"
-        (Staged.stage (fun () ->
-             ignore (Dataflow_api.Liveness.analyze cfg mult)));
-      Test.make ~name:"rewrite-bb-count"
-        (Staged.stage (fun () ->
-             let b = { Core.symtab = st; cfg } in
-             let m = Core.create_mutator b in
-             let c = Core.create_counter m "c" in
-             List.iter
-               (fun pt -> Core.insert m pt [ Codegen_api.Snippet.incr c ])
-               (Core.at_blocks b "multiply");
-             ignore (Core.rewrite m)));
-      Test.make ~name:"simulate-matmul-8"
-        (Staged.stage (fun () ->
-             let p = Rvsim.Loader.load img in
-             ignore (Rvsim.Loader.run p)));
-      Test.make ~name:"sail-pipeline"
-        (Staged.stage (fun () ->
-             ignore (Sailsem.Sail.pipeline_of_text Sailsem.Spec.text)));
-      Test.make ~name:"minicc-compile"
-        (Staged.stage (fun () -> ignore (Minicc.Driver.compile src)));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  print_endline "\n== Bechamel microbenches (wall clock) ==";
-  List.iter
-    (fun t ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ t ]) in
-      let a = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "   %-24s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "   %-24s (no estimate)\n" name)
-        a)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* rvcheck lockstep throughput                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -912,7 +791,6 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
    end, naming every gate that failed. *)
 let () =
   let flag f = Array.exists (( = ) f) Sys.argv in
-  let bechamel = flag "--bechamel" in
   let failed = ref [] in
   let gate results =
     failed := !failed @ List.filter_map (fun (ok, msg) -> if ok then None else Some msg) results
@@ -949,11 +827,8 @@ let () =
     ablation_jump_strategies ();
     gate (parse_bench ());
     gate (rewrite_scaling ());
-    figure_flows ();
-    figure_components ();
     lockstep_throughput ();
     gate (Served.bench ());
-    if bechamel then bechamel_benches ();
     print_endline "\nbench: done"
   end;
   if !failed <> [] then begin

@@ -1,7 +1,6 @@
 (* rvq: command-line client for rvserved.
 
      rvq ping|flush|shutdown [--socket PATH]
-     rvq stats [--json]            # cache/pool stats, table by default
      rvq metrics [--json] [--watch SECS]   # live registry scrape
      rvq job <parse|lint|rewrite|verify|profile|trace> <mutatee.elf> \
         [--entries f]... [--blocks f]... [--exits f]... \
@@ -16,6 +15,7 @@
 open Cmdliner
 module W = Serve_api.Wire
 module J = Dyn_util.Jsonw
+module Obs = Dyn_obs.Registry
 
 let connect socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -74,49 +74,7 @@ let fmt_ns ns =
     Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
   else Printf.sprintf "%.2fs" (float_of_int ns /. 1e9)
 
-(* Approximate quantile from the log2 buckets: the upper bound of the
-   first bucket where the cumulative count crosses q (mirrors
-   Dyn_obs.Registry.approx_quantile_ns server-side). *)
-let quantile_ns buckets count q =
-  if count = 0 then 0
-  else begin
-    let target =
-      max 1 (int_of_float (ceil (q *. float_of_int count)))
-    in
-    let acc = ref 0 and ans = ref max_int in
-    Array.iteri
-      (fun i n ->
-        if !ans = max_int then begin
-          acc := !acc + n;
-          if !acc >= target then
-            ans := (if i >= 31 then max_int else (1 lsl (i + 1)) - 1)
-        end)
-      buckets;
-    !ans
-  end
-
 let fmt_q ns = if ns = max_int then ">1s" else fmt_ns ns
-
-(* `rvq stats`: one row per scalar, nested objects as sections *)
-let print_stats_table payload =
-  let rec rows indent j =
-    match j with
-    | J.Obj kvs ->
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | J.Obj _ ->
-                Printf.printf "%s%s:\n" indent k;
-                rows (indent ^ "  ") v
-            | J.Int n -> Printf.printf "%s%-18s %Ld\n" indent k n
-            | J.String s -> Printf.printf "%s%-18s %s\n" indent k s
-            | J.Bool b -> Printf.printf "%s%-18s %b\n" indent k b
-            | other ->
-                Printf.printf "%s%-18s %s\n" indent k (J.to_string other))
-          kvs
-    | other -> Printf.printf "%s%s\n" indent (J.to_string other)
-  in
-  rows "" (J.of_string payload)
 
 (* `rvq metrics`: counters and gauges as name/value rows, histograms
    with count, mean and approximate p50/p99 *)
@@ -142,31 +100,21 @@ let print_metrics_table payload =
       (fun m ->
         let count = J.to_int (J.member "count" m) in
         let sum_ns = J.to_int (J.member "sum_ns" m) in
-        let buckets =
-          Array.of_list (List.map J.to_int (J.to_list (J.member "buckets" m)))
+        let hv =
+          {
+            Obs.hv_count = count;
+            hv_sum_ns = sum_ns;
+            hv_buckets =
+              Array.of_list (List.map J.to_int (J.to_list (J.member "buckets" m)));
+          }
         in
         let mean = if count = 0 then 0 else sum_ns / count in
         Printf.printf "%-40s %12d %10s %10s %10s\n"
           (J.to_str (J.member "name" m))
           count (fmt_ns mean)
-          (fmt_q (quantile_ns buckets count 0.5))
-          (fmt_q (quantile_ns buckets count 0.99)))
+          (fmt_q (Obs.approx_quantile_ns hv 0.5))
+          (fmt_q (Obs.approx_quantile_ns hv 0.99)))
       hist_rows
-  end
-
-let stats socket json =
-  let r = request socket W.Stats in
-  if not r.W.rs_ok then begin
-    Printf.eprintf "rvq: %s\n" r.W.rs_error;
-    1
-  end
-  else if json then begin
-    print_endline (W.encode_response r);
-    0
-  end
-  else begin
-    print_stats_table r.W.rs_payload;
-    0
   end
 
 let metrics socket json watch =
@@ -280,11 +228,6 @@ let json_arg =
     value & flag
     & info [ "json" ] ~doc:"print the raw NDJSON response line instead")
 
-let stats_cmd =
-  Cmd.v
-    (Cmd.info "stats" ~doc:"cache/pool statistics (table; --json for raw)")
-    Term.(const stats $ socket_arg $ json_arg)
-
 let watch_arg =
   Arg.(
     value
@@ -334,7 +277,6 @@ let cmd =
     (Cmd.info "rvq" ~doc:"client for the rvserved instrumentation service")
     [
       control_cmd "ping" "liveness check";
-      stats_cmd;
       metrics_cmd;
       control_cmd "flush" "invalidate the artifact cache";
       control_cmd "shutdown" "stop the daemon";

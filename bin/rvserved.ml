@@ -16,8 +16,7 @@
 
 open Cmdliner
 
-let main socket domains parse_domains cache_entries cache_bytes cache_dir
-    trace_out verbose =
+let main socket domains cache_entries cache_bytes cache_dir trace_out verbose =
   let cache =
     Serve_api.Cache.create ?disk_dir:cache_dir ~max_entries:cache_entries
       ~max_bytes:cache_bytes ()
@@ -26,7 +25,6 @@ let main socket domains parse_domains cache_entries cache_bytes cache_dir
     {
       Serve_api.Server.sc_socket = socket;
       sc_domains = domains;
-      sc_parse_domains = parse_domains;
       sc_verbose = verbose;
       sc_trace_out = trace_out;
     }
@@ -50,15 +48,6 @@ let domains_arg =
   Arg.(
     value & opt int 2
     & info [ "domains" ] ~docv:"N" ~doc:"worker domains for job execution")
-
-let parse_domains_arg =
-  Arg.(
-    value
-    & opt int (Domain.recommended_domain_count ())
-    & info [ "parse-domains" ] ~docv:"N"
-        ~doc:
-          "domains per cold CFG parse inside a job (default: available \
-           cores; the CFG is identical for every value)")
 
 let cache_entries_arg =
   Arg.(
@@ -97,8 +86,7 @@ let cmd =
     (Cmd.info "rvserved"
        ~doc:"multi-tenant instrumentation service with an artifact cache")
     Term.(
-      const main $ socket_arg $ domains_arg $ parse_domains_arg
-      $ cache_entries_arg $ cache_bytes_arg $ cache_dir_arg $ trace_out_arg
-      $ verbose_arg)
+      const main $ socket_arg $ domains_arg $ cache_entries_arg
+      $ cache_bytes_arg $ cache_dir_arg $ trace_out_arg $ verbose_arg)
 
 let () = exit (Cmd.eval' cmd)

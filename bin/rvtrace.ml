@@ -56,12 +56,9 @@ let run mutatee funcs no_blocks calls returns mem capacity reports out verbose
   let n_points =
     Trace_api.Tracer.instrument rw binary.Core.cfg ~ring ?funcs opts
   in
-  let img = Patch_api.Rewriter.rewrite rw in
-  let p = Rvsim.Loader.load img in
-  let sink = Trace_api.Sink.create ring in
-  Trace_api.Sink.install sink p.Rvsim.Loader.os;
-  let stop, out_str = Rvsim.Loader.run p in
-  Trace_api.Sink.drain sink p.Rvsim.Loader.machine;
+  let sink, stop, out_str =
+    Trace_api.Sink.run ring (Patch_api.Rewriter.rewrite rw)
+  in
   let records = Trace_api.Sink.records sink in
   Format.printf "mutatee: %s (%d trace points)@." mutatee n_points;
   Format.printf "exit: %a@." Rvsim.Machine.pp_stop stop;

@@ -19,12 +19,7 @@ let () =
       ~funcs:[ "multiply" ] Trace_api.Tracer.mem_only
   in
   Printf.printf "planted %d memory trace points in multiply\n" n_points;
-  let img = Core.rewrite m in
-  let p = Rvsim.Loader.load img in
-  let sink = Trace_api.Sink.create ring in
-  Trace_api.Sink.install sink p.Rvsim.Loader.os;
-  let stop, _ = Rvsim.Loader.run p in
-  Trace_api.Sink.drain sink p.Rvsim.Loader.machine;
+  let sink, stop, _ = Trace_api.Sink.run ring (Core.rewrite m) in
   Format.printf "mutatee exit: %a\n" Rvsim.Machine.pp_stop stop;
   let records = Trace_api.Sink.records sink in
   Printf.printf "collected %d records (%d ring flushes)\n"

@@ -209,15 +209,3 @@ let approx_quantile_ns (hv : hview) (q : float) : int =
      with Exit -> ());
     if !b >= n_buckets - 1 then max_int else (1 lsl (!b + 1)) - 1
   end
-
-(* Zero every cell; registrations (and handles) survive. *)
-let reset () =
-  SM.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.c_cells
-      | Gauge g -> Atomic.set g.g_cell 0
-      | Histogram h ->
-          Array.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.h_buckets;
-          Array.iter (fun cell -> Atomic.set cell 0) h.h_sums)
-    (Atomic.get metrics)

@@ -50,9 +50,6 @@ val find : string -> row option
     [max_int] when it lands in the overflow bucket, 0 on empty. *)
 val approx_quantile_ns : hview -> float -> int
 
-(** Zero every cell; registrations and handles survive. *)
-val reset : unit -> unit
-
 val counter_value : counter -> int
 val gauge_value : gauge -> int
 val histogram_view : histogram -> hview

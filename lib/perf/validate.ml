@@ -81,12 +81,7 @@ let trace_records ?funcs (binary : Core.binary) : Trace_api.Record.t list =
       mem = false }
   in
   let _ = Trace_api.Tracer.instrument m.Core.rw binary.Core.cfg ~ring ?funcs opts in
-  let img = Core.rewrite m in
-  let p = Rvsim.Loader.load img in
-  let sink = Trace_api.Sink.create ring in
-  Trace_api.Sink.install sink p.Rvsim.Loader.os;
-  let _ = Rvsim.Loader.run p in
-  Trace_api.Sink.drain sink p.Rvsim.Loader.machine;
+  let sink, _, _ = Trace_api.Sink.run ring (Core.rewrite m) in
   Trace_api.Sink.records sink
 
 (* Run both collections on (fresh copies of) the mutatee and compare.

@@ -31,18 +31,18 @@
    [schema_version]: opening a directory written by a different schema
    wipes it rather than serving artifacts in an obsolete format. *)
 
-module J = Dyn_util.Jsonw
 module Obs = Dyn_obs.Registry
 
 (* The cache's counters: process-global registry rows (a daemon runs
-   one cache; tests that build several share the totals), read by both
-   the metrics and the stats wire actions. *)
+   one cache; tests that build several share the totals), read by the
+   metrics wire action. *)
 let m_hits = Obs.counter "serve.cache.hits"
 let m_misses = Obs.counter "serve.cache.misses"
 let m_inserts = Obs.counter "serve.cache.inserts"
 let m_evictions = Obs.counter "serve.cache.evictions"
 let m_disk_hits = Obs.counter "serve.cache.disk_hits"
 let m_waits = Obs.counter "serve.cache.singleflight_waits"
+let m_flushes = Obs.counter "serve.cache.flushes"
 let g_bytes = Obs.gauge "serve.cache.resident_bytes"
 let g_entries = Obs.gauge "serve.cache.entries"
 
@@ -286,6 +286,7 @@ let rec get_or_compute t ~key (f : unit -> value) : value * bool =
 let flush t =
   Mutex.lock t.mu;
   t.gen <- t.gen + 1;
+  Obs.incr m_flushes;
   (* keep Pending markers so in-flight singleflight waits still resolve *)
   let keep = Hashtbl.create 8 in
   Hashtbl.iter
@@ -325,18 +326,3 @@ let mem_keys t =
   in
   Mutex.unlock t.mu;
   List.sort (fun (a, _) (b, _) -> compare b a) ks |> List.map snd
-
-let stats_json t =
-  Mutex.lock t.mu;
-  let j =
-    [
-      ("entries", J.Int (Int64.of_int (Hashtbl.length t.tbl)));
-      ("bytes", J.Int (Int64.of_int t.bytes));
-      ("max_entries", J.Int (Int64.of_int t.max_entries));
-      ("max_bytes", J.Int (Int64.of_int t.max_bytes));
-      ("generation", J.Int (Int64.of_int t.gen));
-      ("disk", match t.disk_dir with None -> J.Null | Some d -> J.String d);
-    ]
-  in
-  Mutex.unlock t.mu;
-  j

@@ -29,7 +29,8 @@ val create : ?disk_dir:string -> ?max_entries:int -> ?max_bytes:int -> unit -> t
     Exceptions from the computation propagate and leave no entry. *)
 val get_or_compute : t -> key:string -> (unit -> value) -> value * bool
 
-(** Drop everything (memory + disk) and bump the generation. *)
+(** Drop everything (memory + disk), bump the generation and the
+    [serve.cache.flushes] counter. *)
 val flush : t -> unit
 
 val generation : t -> int
@@ -40,7 +41,3 @@ val mem_entries : t -> int
 (** Ready keys, most recently used first (for tests and debugging). *)
 val mem_keys : t -> string list
 
-(** The instance's level and configuration as stats-payload members:
-    entries, bytes, budgets, generation and disk directory.  Its event
-    counts are the [serve.cache.*] registry counters. *)
-val stats_json : t -> (string * Dyn_util.Jsonw.t) list

@@ -47,15 +47,13 @@ let read_file path : Bytes.t =
   close_in ic;
   b
 
-(* The shared parse artifact.  [domains] fans the CFG construction of a
-   cold parse across that many domains; it is deliberately absent from
-   the cache key because the parallel parser is differentially gated to
-   produce the identical CFG for every domain count. *)
-let binary_for ?(domains = 1) (cache : Cache.t) ~(hash : string)
-    (bytes : Bytes.t) : Core.binary =
+(* The shared parse artifact.  A cold parse runs on the calling pool
+   domain alone: the pool is the daemon's one level of parallelism. *)
+let binary_for (cache : Cache.t) ~(hash : string) (bytes : Bytes.t) :
+    Core.binary =
   let v, _ =
     Cache.get_or_compute cache ~key:("bin:" ^ hash) (fun () ->
-        Cache.Bin (Core.open_bytes ~domains bytes))
+        Cache.Bin (Core.open_bytes bytes))
   in
   match v with
   | Cache.Bin b -> b
@@ -191,12 +189,9 @@ let trace_payload (b : Core.binary) (ts : Wire.trace_spec) : J.t =
   in
   let funcs = match ts.Wire.ts_funcs with [] -> None | fs -> Some fs in
   let n_points = Trace_api.Tracer.instrument rw b.Core.cfg ~ring ?funcs opts in
-  let img = Patch_api.Rewriter.rewrite rw in
-  let p = Rvsim.Loader.load img in
-  let sink = Trace_api.Sink.create ring in
-  Trace_api.Sink.install sink p.Rvsim.Loader.os;
-  let stop, _stdout = Rvsim.Loader.run p in
-  Trace_api.Sink.drain sink p.Rvsim.Loader.machine;
+  let sink, stop, _stdout =
+    Trace_api.Sink.run ring (Patch_api.Rewriter.rewrite rw)
+  in
   let records = Trace_api.Sink.records sink in
   let count k =
     List.length (List.filter (fun (r : Trace_api.Record.t) -> r.kind = k) records)
@@ -225,7 +220,7 @@ let payload_json (b : Core.binary) (action : Wire.action) : J.t =
   | Wire.Verify cs -> verify_payload b cs
   | Wire.Profile ps -> profile_payload b ps
   | Wire.Trace ts -> trace_payload b ts
-  | Wire.Ping | Wire.Stats | Wire.Metrics | Wire.Flush | Wire.Shutdown ->
+  | Wire.Ping | Wire.Metrics | Wire.Flush | Wire.Shutdown ->
       invalid_arg "payload_for: control action"
 
 let payload_for (b : Core.binary) (action : Wire.action) : string =
@@ -239,8 +234,7 @@ let payload_for (b : Core.binary) (action : Wire.action) : string =
    memo, so a warm request touches no file bytes at all: stat(2), two
    cache probes, done.  The file is only read inside the compute
    closure — i.e. on a payload miss. *)
-let exec ?stat ?domains (cache : Cache.t) (req : Wire.request) :
-    Wire.response =
+let exec ?stat (cache : Cache.t) (req : Wire.request) : Wire.response =
   let t0 = now_us () in
   let t0_ns = Trace.now_ns () in
   let elapsed () = Int64.sub (now_us ()) t0 in
@@ -256,9 +250,13 @@ let exec ?stat ?domains (cache : Cache.t) (req : Wire.request) :
       if not resp.Wire.rs_ok then Obs.incr m_err;
       resp
     in
+    (* the span's id argument is built only when a trace records it *)
+    let args =
+      if Trace.is_enabled () then [ ("id", Int64.to_string req.Wire.rq_id) ]
+      else []
+    in
     finish
-    @@ Trace.with_span span
-         ~args:[ ("id", Int64.to_string req.Wire.rq_id) ]
+    @@ Trace.with_span span ~args
          (fun () ->
            try
              let v, cached, hash =
@@ -277,7 +275,7 @@ let exec ?stat ?domains (cache : Cache.t) (req : Wire.request) :
                          let j =
                            Trace.with_span "execute" (fun () ->
                                let bytes = read_file req.Wire.rq_path in
-                               let b = binary_for ?domains cache ~hash bytes in
+                               let b = binary_for cache ~hash bytes in
                                payload_json b req.Wire.rq_action)
                          in
                          Cache.Payload

@@ -5,12 +5,6 @@
     warm results are byte-identical to cold ones.  Never raises —
     failures become error responses. *)
 
-(** [binary_for cache ~hash bytes] — the shared parse artifact.
-    [domains] (default 1) fans a cold parse's CFG construction across
-    that many domains; it does not affect the cache key because the
-    parallel parser yields the identical CFG for every domain count. *)
-val binary_for : ?domains:int -> Cache.t -> hash:string -> Bytes.t -> Core.binary
-
 (** Render the payload for a job action on an already-parsed binary
     (no caching; the deterministic core of {!exec}).
     @raise Invalid_argument on control actions. *)
@@ -18,7 +12,6 @@ val payload_for : Core.binary -> Wire.action -> string
 
 (** Execute a job request end to end; control actions yield an error
     response (they belong to the server).  With [stat], unchanged
-    mutatees skip the read+hash via the {!Statcache} memo.  [domains]
-    is forwarded to {!binary_for} for cold parses. *)
-val exec :
-  ?stat:Statcache.t -> ?domains:int -> Cache.t -> Wire.request -> Wire.response
+    mutatees skip the read+hash via the {!Statcache} memo.  A cold
+    parse runs on the calling domain alone. *)
+val exec : ?stat:Statcache.t -> Cache.t -> Wire.request -> Wire.response

@@ -2,7 +2,7 @@
    artifact cache and the domain pool.
 
    One lightweight thread per connection reads NDJSON requests.
-   Control actions (ping/stats/flush/shutdown) are answered inline on
+   Control actions (ping/metrics/flush/shutdown) are answered inline on
    the reader thread — they must not queue behind a long profile job.
    Job actions are submitted to the pool; each worker domain writes its
    response through the connection's write mutex, so responses stream
@@ -31,8 +31,6 @@ let g_domains = Obs.gauge "serve.pool.domains"
 type config = {
   sc_socket : string; (* socket path *)
   sc_domains : int;
-  sc_parse_domains : int;
-      (* domains per cold CFG parse inside a job (Jobs.binary_for) *)
   sc_verbose : bool;
   sc_trace_out : string option;
       (* write the span trace here on shutdown: Chrome trace-event JSON,
@@ -92,89 +90,6 @@ let metrics_payload t =
   in
   J.to_string
     (J.Obj [ ("metrics", J.List (List.map row (Obs.snapshot ()))) ])
-
-(* The stats wire action: a view of the registry.  Apart from the
-   cache's level and configuration, the pool size and the uptime, every
-   number is the registry row it names (0 while the row is absent). *)
-let stats_payload t =
-  let bi v = J.Int (Int64.of_int v) in
-  let reg_count name =
-    match Obs.find name with
-    | Some { Obs.r_value = Obs.Counter_v v; _ } -> v
-    | Some { Obs.r_value = Obs.Histogram_v hv; _ } -> hv.Obs.hv_count
-    | _ -> 0
-  in
-  let rows kvs = List.map (fun (k, name) -> (k, bi (reg_count name))) kvs in
-  let cache =
-    Cache.stats_json t.cache
-    @ rows
-        [
-          ("hits", "serve.cache.hits");
-          ("misses", "serve.cache.misses");
-          ("inserts", "serve.cache.inserts");
-          ("evictions", "serve.cache.evictions");
-          ("disk_hits", "serve.cache.disk_hits");
-          ("waits", "serve.cache.singleflight_waits");
-        ]
-  in
-  (* profile/trace jobs run mutatees through the block engine *)
-  let bbcache =
-    rows
-      [
-        ("translated", "sim.bb.translated");
-        ("executed", "sim.bb.blocks");
-        ("chain_hits", "sim.bb.chain_hits");
-        ("retranslated", "sim.bb.retranslated");
-        ("timer_steps", "sim.bb.timer_steps");
-        ("singles", "sim.bb.singles");
-        ("evicted", "sim.bb.evicted");
-        ("flushes", "sim.icache.flushes");
-      ]
-  in
-  let parse =
-    ("domains", bi t.cfg.sc_parse_domains)
-    :: rows
-         [
-           ("tasks", "parse.tasks");
-           ("steals", "parse.steals");
-           ("rounds", "parse.rounds");
-           ("merges", "parse.merge_ns");
-         ]
-  in
-  let verify =
-    rows
-      [
-        ("sites_ok", "verify.sites_ok");
-        ("sites_failed", "verify.sites_failed");
-        ("sites_timeout", "verify.sites_timeout");
-      ]
-  in
-  (* every job observes its kind's latency histogram once *)
-  let jobs =
-    List.fold_left
-      (fun n (r : Obs.row) ->
-        match r.Obs.r_value with
-        | Obs.Histogram_v hv when String.starts_with ~prefix:"serve.job." r.Obs.r_name
-          ->
-            n + hv.Obs.hv_count
-        | _ -> n)
-      0 (Obs.snapshot ())
-  in
-  J.to_string
-    (J.Obj
-       ([
-          ("cache", J.Obj cache);
-          ("bbcache", J.Obj bbcache);
-          ("parse", J.Obj parse);
-          ("verify", J.Obj verify);
-        ]
-       @ rows [ ("stat_hits", "serve.stat.hits"); ("stat_misses", "serve.stat.misses") ]
-       @ [
-           ("domains", bi (Pool.size t.pool));
-           ("jobs", bi jobs);
-           ( "uptime_us",
-             J.Int (Int64.of_float ((Unix.gettimeofday () -. t.started) *. 1e6)) );
-         ]))
 
 let stop t =
   Mutex.lock t.mu;
@@ -262,11 +177,6 @@ let handle_conn t fd =
                   (Wire.ok_response ~id:req.Wire.rq_id ~hash:"" ~cached:false
                      ~elapsed_us:0L ~payload:"\"pong\"");
                 loop ()
-            | Wire.Stats ->
-                send
-                  (Wire.ok_response ~id:req.Wire.rq_id ~hash:"" ~cached:false
-                     ~elapsed_us:0L ~payload:(stats_payload t));
-                loop ()
             | Wire.Metrics ->
                 send
                   (Wire.ok_response ~id:req.Wire.rq_id ~hash:"" ~cached:false
@@ -293,11 +203,7 @@ let handle_conn t fd =
                 Mutex.unlock wmu;
                 (try
                    Pool.submit t.pool (fun () ->
-                       let resp =
-                         Jobs.exec ~stat:t.stat
-                           ~domains:t.cfg.sc_parse_domains t.cache req
-                       in
-                       send resp;
+                       send (Jobs.exec ~stat:t.stat t.cache req);
                        job_done ())
                  with Pool.Stopped ->
                    send

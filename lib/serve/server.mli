@@ -8,9 +8,6 @@
 type config = {
   sc_socket : string;  (** Unix-domain socket path *)
   sc_domains : int;  (** pool workers *)
-  sc_parse_domains : int;
-      (** domains per cold CFG parse inside a job (the parallel
-          ParseAPI's fan-out; the CFG is identical for every value) *)
   sc_verbose : bool;  (** log to stderr *)
   sc_trace_out : string option;
       (** enable span tracing and write the capture here on shutdown:

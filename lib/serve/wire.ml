@@ -7,7 +7,7 @@
           or {"id":N,"ok":false,"error":"..."}
 
    Actions parse/lint/rewrite/verify/profile/trace are jobs (sharded across
-   the pool, results cacheable); ping/stats/metrics/flush/shutdown are
+   the pool, results cacheable); ping/metrics/flush/shutdown are
    control actions answered inline by the connection thread.  Responses stream
    as jobs finish, so they may arrive out of submission order: clients
    correlate by [id].
@@ -40,7 +40,6 @@ type action =
   | Profile of profile_spec
   | Trace of trace_spec
   | Ping
-  | Stats
   | Metrics
   | Flush
   | Shutdown
@@ -58,7 +57,7 @@ type response = {
 }
 
 let is_control = function
-  | Ping | Stats | Metrics | Flush | Shutdown -> true
+  | Ping | Metrics | Flush | Shutdown -> true
   | Parse | Lint | Rewrite _ | Verify _ | Profile _ | Trace _ -> false
 
 let action_name = function
@@ -69,14 +68,13 @@ let action_name = function
   | Profile _ -> "profile"
   | Trace _ -> "trace"
   | Ping -> "ping"
-  | Stats -> "stats"
   | Metrics -> "metrics"
   | Flush -> "flush"
   | Shutdown -> "shutdown"
 
 (* Canonical spec fragment for the cache key (sorted, order-free). *)
 let spec_key = function
-  | Parse | Lint | Ping | Stats | Metrics | Flush | Shutdown -> ""
+  | Parse | Lint | Ping | Metrics | Flush | Shutdown -> ""
   | Rewrite cs | Verify cs -> Patch_api.Rewriter.spec_key cs
   | Profile p -> Printf.sprintf "period=%Ld" p.ps_period
   | Trace ts ->
@@ -100,7 +98,7 @@ let request_fields (r : request) : (string * J.t) list =
   in
   let spec =
     match r.rq_action with
-    | Parse | Lint | Ping | Stats | Metrics | Flush | Shutdown -> []
+    | Parse | Lint | Ping | Metrics | Flush | Shutdown -> []
     | Rewrite cs | Verify cs ->
         [
           ("entries", strs cs.Patch_api.Rewriter.cs_entries);
@@ -183,7 +181,6 @@ let decode_request (line : string) : request =
   let path () = get_str obj "path" in
   match action with
   | "ping" -> { rq_id = id; rq_path = ""; rq_action = Ping }
-  | "stats" -> { rq_id = id; rq_path = ""; rq_action = Stats }
   | "metrics" -> { rq_id = id; rq_path = ""; rq_action = Metrics }
   | "flush" -> { rq_id = id; rq_path = ""; rq_action = Flush }
   | "shutdown" -> { rq_id = id; rq_path = ""; rq_action = Shutdown }

@@ -1,6 +1,6 @@
 (** rvserved's wire protocol: newline-delimited JSON, one object per
     line.  parse/lint/rewrite/verify/profile/trace are cacheable jobs;
-    ping/stats/metrics/flush/shutdown are control actions.  Responses stream as
+    ping/metrics/flush/shutdown are control actions.  Responses stream as
     jobs finish and may be out of order — correlate by id.  {!spec_key}
     canonicalizes job parameters for the artifact-cache key. *)
 
@@ -26,7 +26,6 @@ type action =
   | Profile of profile_spec
   | Trace of trace_spec
   | Ping
-  | Stats
   | Metrics
   | Flush
   | Shutdown

@@ -46,6 +46,18 @@ let install (t : t) (os : Rvsim.Syscall.t) =
    exits (or at any quiescent point under ProcControlAPI). *)
 let drain (t : t) (m : Rvsim.Machine.t) = copy_out t m.Rvsim.Machine.mem
 
+(* One traced run: load [img], install a sink for [ring] on its OS, run
+   the program to its stop and drain the ring.  Returns the sink, the
+   stop and the program's stdout. *)
+let run (ring : Ring.t) (img : Elfkit.Types.image) :
+    t * Rvsim.Machine.stop * string =
+  let p = Rvsim.Loader.load img in
+  let t = create ring in
+  install t p.Rvsim.Loader.os;
+  let stop, out = Rvsim.Loader.run p in
+  drain t p.Rvsim.Loader.machine;
+  (t, stop, out)
+
 let raw (t : t) = Buffer.contents t.buf
 let n_records (t : t) = Buffer.length t.buf / Record.size
 let records (t : t) : Record.t list = Record.decode_all (Buffer.contents t.buf)

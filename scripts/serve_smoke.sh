@@ -6,9 +6,9 @@
 #   2. push a mixed batch (parse/lint/rewrite/trace) through rvq batch
 #   3. push the identical batch again: every response must say
 #      cached=true and byte-match the cold payload
-#   4. stats must show cache hits and the block engine's executed count
-#      that the registry's sim.bb.blocks row holds; a metrics scrape
-#      must report cache-hit counters > 0 and a drained queue
+#   4. a metrics scrape must report the block engine's sim.bb.blocks
+#      row > 0 after the trace job (in the JSON and the table),
+#      cache-hit counters > 0 and a drained queue
 #   5. shutdown must unlink the socket, let the daemon exit 0, and
 #      leave a loadable span trace behind (--trace-out)
 #
@@ -76,23 +76,16 @@ if [ "$(printf '%s\n' "$OUT1" | norm)" != "$(printf '%s\n' "$OUT2" | norm)" ]; t
     exit 1
 fi
 
-"$B/rvq.exe" stats --socket "$SOCK" --json | grep -q '"hits":' || {
-    echo "serve-smoke: stats missing cache counters" >&2
-    exit 1
-}
-# stats is a view of the registry: after the batches' trace job the
-# block engine's executed count is > 0 and equals the sim.bb.blocks row
-EXECUTED=$("$B/rvq.exe" stats --socket "$SOCK" --json |
-    sed -n 's/.*"executed":\([0-9]*\).*/\1/p')
+# the batches' trace job ran mutatees through the block engine: the
+# registry's sim.bb.blocks row is > 0, and the human table shows it
 BLOCKS=$("$B/rvq.exe" metrics --socket "$SOCK" --json |
     sed -n 's/.*"name":"sim\.bb\.blocks","type":"counter","value":\([0-9]*\).*/\1/p')
-[ -n "$EXECUTED" ] && [ "$EXECUTED" -gt 0 ] && [ "$EXECUTED" = "$BLOCKS" ] || {
-    echo "serve-smoke: stats bbcache.executed '$EXECUTED' is not the registry's sim.bb.blocks '$BLOCKS'" >&2
+[ -n "$BLOCKS" ] && [ "$BLOCKS" -gt 0 ] || {
+    echo "serve-smoke: metrics report no sim.bb.blocks after the trace job (got '$BLOCKS')" >&2
     exit 1
 }
-# the default rendering is a table; spot-check a known row
-"$B/rvq.exe" stats --socket "$SOCK" | grep -q '^cache:' || {
-    echo "serve-smoke: stats table missing cache section" >&2
+"$B/rvq.exe" metrics --socket "$SOCK" | grep -q '^sim\.bb\.blocks ' || {
+    echo "serve-smoke: metrics table missing the sim.bb.blocks row" >&2
     exit 1
 }
 

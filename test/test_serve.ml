@@ -336,24 +336,22 @@ let test_differential_trace () =
        })
     "trace"
 
-(* parallel parse inside a job: the domains knob must not change a
-   single payload byte — cold at N domains, the warm hit it seeds, and
-   a cold single-domain parse in a fresh cache all byte-match *)
+(* a job's cold parse runs on its own domain: its payload, cold and
+   warm, must byte-match the payload of an N-domain parallel parse of
+   the same bytes *)
 let test_differential_parallel_parse () =
   let path = Lazy.force calls_elf in
   let n = max 2 (Domain.recommended_domain_count ()) in
-  let cn = Cache.create () in
-  let cold_n = Jobs.exec ~domains:n cn (job path Wire.Parse) in
-  let warm_n = Jobs.exec ~domains:n cn (job path Wire.Parse) in
-  let c1 = Cache.create () in
-  let cold_1 = Jobs.exec ~domains:1 c1 (job path Wire.Parse) in
-  Alcotest.(check bool) "parallel cold ok" true cold_n.Wire.rs_ok;
-  Alcotest.(check bool) "parallel cold uncached" false cold_n.Wire.rs_cached;
-  Alcotest.(check bool) "parallel warm flagged" true warm_n.Wire.rs_cached;
-  Alcotest.(check string)
-    "warm = cold at N domains" cold_n.Wire.rs_payload warm_n.Wire.rs_payload;
-  Alcotest.(check string)
-    "N domains = 1 domain" cold_1.Wire.rs_payload cold_n.Wire.rs_payload
+  let c = Cache.create () in
+  let cold = Jobs.exec c (job path Wire.Parse) in
+  let warm = Jobs.exec c (job path Wire.Parse) in
+  let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let parallel = Jobs.payload_for (Core.open_bytes ~domains:n bytes) Wire.Parse in
+  Alcotest.(check bool) "cold ok" true cold.Wire.rs_ok;
+  Alcotest.(check bool) "cold uncached" false cold.Wire.rs_cached;
+  Alcotest.(check bool) "warm flagged" true warm.Wire.rs_cached;
+  Alcotest.(check string) "warm = cold" cold.Wire.rs_payload warm.Wire.rs_payload;
+  Alcotest.(check string) "job = N-domain parse" parallel cold.Wire.rs_payload
 
 (* spec canonicalization: field order and list order don't split the key *)
 let test_spec_key_canonical () =
@@ -447,7 +445,6 @@ let with_server name f =
       {
         Serve_api.Server.sc_socket = sock;
         sc_domains = 2;
-        sc_parse_domains = 2;
         sc_verbose = false;
         sc_trace_out = None;
       }
@@ -488,14 +485,6 @@ let test_server_session () =
   Alcotest.(check string)
     "identical payload over the wire" (by_id 1L).Wire.rs_payload
     (by_id 2L).Wire.rs_payload;
-  (* stats after all three job responses: the counter must have caught up *)
-  send (control 4L Wire.Stats);
-  let stats_resp = recv () in
-  Alcotest.(check bool) "stats ok" true stats_resp.Wire.rs_ok;
-  let stats = J.of_string stats_resp.Wire.rs_payload in
-  Alcotest.(check bool)
-    "stats counts jobs" true
-    (J.to_int64 (J.member "jobs" stats) >= 3L);
   (* metrics scrape: registry rows with the cache/job instruments *)
   send (control 5L Wire.Metrics);
   let metrics_resp = recv () in
@@ -526,6 +515,14 @@ let test_server_session () =
   Alcotest.(check bool)
     "metric names sorted" true
     (List.sort compare names = names);
+  (* the metrics action is the daemon's one view: a stats request gets
+     the unknown-action error, and the connection keeps serving *)
+  send_line "{\"id\":4,\"action\":\"stats\"}";
+  let stats = recv () in
+  Alcotest.(check bool) "stats refused" false stats.Wire.rs_ok;
+  Alcotest.(check string) "unknown action" "unknown action \"stats\"" stats.Wire.rs_error;
+  send (control 9L Wire.Ping);
+  Alcotest.(check int64) "ping after stats" 9L (recv ()).Wire.rs_id;
   (* a malformed number gets an error response, and the connection
      still answers afterwards *)
   send_line "{\"id\":-,\"action\":\"ping\"}";
@@ -550,7 +547,7 @@ let test_server_session () =
 
 (* One fact, two views: the block engine's counts are per-machine
    fields published to the registry once per run, so concurrent jobs
-   lose none; and the stats action reads the very rows the registry
+   lose none; and the metrics action returns the very rows the registry
    holds. *)
 let test_one_fact_two_views () =
   let path = Lazy.force fib_elf in
@@ -585,27 +582,26 @@ let test_one_fact_two_views () =
   send_line (Wire.encode_request (job ~id:2L path Wire.Lint));
   send_line (Wire.encode_request (job ~id:3L (Lazy.force fib_copy) Wire.Lint));
   List.iter (fun _ -> Alcotest.(check bool) "job ok" true (recv ()).Wire.rs_ok) [ 1; 2; 3 ];
-  send_line (Wire.encode_request (control 4L Wire.Stats));
-  let stats = J.of_string (recv ()).Wire.rs_payload in
-  let field path =
-    J.to_int (List.fold_left (fun j k -> J.member k j) stats path)
+  send_line (Wire.encode_request (control 4L Wire.Metrics));
+  let rows = J.to_list (J.member "metrics" (J.of_string (recv ()).Wire.rs_payload)) in
+  let wire name field =
+    match List.find_opt (fun r -> J.to_str (J.member "name" r) = name) rows with
+    | Some r -> J.to_int (J.member field r)
+    | None -> Alcotest.failf "%s missing from the metrics payload" name
   in
-  let jobs =
-    List.fold_left
-      (fun n (r : Dyn_obs.Registry.row) ->
-        match r.Dyn_obs.Registry.r_value with
-        | Dyn_obs.Registry.Histogram_v hv
-          when String.starts_with ~prefix:"serve.job." r.Dyn_obs.Registry.r_name ->
-            n + hv.Dyn_obs.Registry.hv_count
-        | _ -> n)
-      0 (Dyn_obs.Registry.snapshot ())
-  in
-  Alcotest.(check bool) "the copy hit" true (field [ "cache"; "hits" ] > 0);
-  Alcotest.(check int) "bbcache.executed = sim.bb.blocks" (counter "sim.bb.blocks")
-    (field [ "bbcache"; "executed" ]);
-  Alcotest.(check int) "cache.hits = serve.cache.hits" (counter "serve.cache.hits")
-    (field [ "cache"; "hits" ]);
-  Alcotest.(check int) "jobs = the latency histograms' counts" jobs (field [ "jobs" ])
+  Alcotest.(check bool) "the copy hit" true (wire "serve.cache.hits" "value" > 0);
+  Alcotest.(check int) "serve.cache.hits" (counter "serve.cache.hits")
+    (wire "serve.cache.hits" "value");
+  Alcotest.(check int) "sim.bb.blocks" (counter "sim.bb.blocks") (wire "sim.bb.blocks" "value");
+  List.iter
+    (fun (r : Dyn_obs.Registry.row) ->
+      match r.Dyn_obs.Registry.r_value with
+      | Dyn_obs.Registry.Histogram_v hv
+        when String.starts_with ~prefix:"serve.job." r.Dyn_obs.Registry.r_name ->
+          Alcotest.(check int) r.Dyn_obs.Registry.r_name hv.Dyn_obs.Registry.hv_count
+            (wire r.Dyn_obs.Registry.r_name "count")
+      | _ -> ())
+    (Dyn_obs.Registry.snapshot ())
 
 (* --- superblock code-cache residency bound --- *)
 

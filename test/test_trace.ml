@@ -26,12 +26,7 @@ let run_traced ?(capacity = 256) ?funcs ~opts src =
   let rw = Rewriter.create binary.Core.symtab binary.Core.cfg in
   let ring = Ring.create rw ~capacity in
   let n_points = Tracer.instrument rw binary.Core.cfg ~ring ?funcs opts in
-  let img = Rewriter.rewrite rw in
-  let p = Rvsim.Loader.load img in
-  let sink = Sink.create ring in
-  Sink.install sink p.Rvsim.Loader.os;
-  let stop, out = Rvsim.Loader.run p in
-  Sink.drain sink p.Rvsim.Loader.machine;
+  let sink, stop, out = Sink.run ring (Rewriter.rewrite rw) in
   (binary, sink, stop, out, n_points)
 
 (* Ground truth: run the *uninstrumented* image under the raw machine
@@ -382,12 +377,7 @@ let test_markers () =
       Tracer.plant_marker rw ~ring pt ~id:7L
         ~payload:(Snippet.Param 0) ()
   | None -> Alcotest.fail "no entry point for work");
-  let img = Rewriter.rewrite rw in
-  let p = Rvsim.Loader.load img in
-  let sink = Sink.create ring in
-  Sink.install sink p.Rvsim.Loader.os;
-  let stop, out = Rvsim.Loader.run p in
-  Sink.drain sink p.Rvsim.Loader.machine;
+  let sink, stop, out = Sink.run ring (Rewriter.rewrite rw) in
   checki "exit unchanged" 0 (exit_code stop);
   checkb "stdout unchanged" true (String.trim out <> "");
   let markers =
