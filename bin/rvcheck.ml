@@ -21,6 +21,10 @@
      rvcheck roundtrip [--mutatee all|fib|...]     (ids roundtrip:MUTATEE)
          instrument a mutatee with an effect-free probe, rewrite, and
          compare the visible state of original vs rewritten runs
+     rvcheck snippet --seed 1 --count 500          (ids snippet:SEED)
+         generate random snippets (every constructor, counters and
+         trace records), lower them with CodeGenAPI, run the code on
+         rvsim and diff it against a reference evaluation of the AST
      rvcheck replay CASE
          re-run exactly one case of any leg, verbosely
      rvcheck decoder
@@ -36,7 +40,7 @@ open Cmdliner
 open Check_api
 
 let pr fmt = Format.printf fmt
-let legs = [ Oracle.leg; Enginediff.leg; Parsediff.leg; Roundtrip.leg ]
+let legs = [ Oracle.leg; Enginediff.leg; Parsediff.leg; Roundtrip.leg; Snippetdiff.leg ]
 
 let usage_error fmt =
   Printf.ksprintf
@@ -84,6 +88,10 @@ let run_parsediff mutatees seeds verbose =
 let run_roundtrip mutatees =
   run_leg ~verbose:true Roundtrip.leg (Roundtrip.cases (resolve_mutatees mutatees))
 
+let run_snippet seed count verbose =
+  at_least 1 "count" count;
+  run_leg ~verbose Snippetdiff.leg (Snippetdiff.cases ~seed ~count)
+
 let run_replay id =
   match Diffkit.replay legs id with
   | o ->
@@ -92,7 +100,7 @@ let run_replay id =
   | exception Diffkit.Bad_case ->
       usage_error
         "unknown case id %S (expected e.g. lockstep:1:77, engine:fib:timer, \
-         parse:fuzz-4002/96:4, roundtrip:fib)"
+         parse:fuzz-4002/96:4, roundtrip:fib, snippet:7)"
         id
 
 let run_decoder () =
@@ -117,7 +125,8 @@ let run_smoke () =
   let rc3 = run_roundtrip [ "fib"; "calls" ] in
   let rc4 = run_engine [ "fib"; "calls" ] 10 40 false in
   let rc5 = run_parsediff [ "all" ] 5 false in
-  if rc1 + rc2 + rc3 + rc4 + rc5 = 0 then begin
+  let rc6 = run_snippet 1L 500 false in
+  if rc1 + rc2 + rc3 + rc4 + rc5 + rc6 = 0 then begin
     pr "fuzz-smoke: ok@.";
     0
   end
@@ -202,6 +211,17 @@ let parsediff_cmd =
        ~doc:"parallel parser vs sequential reference CFG differential")
     Term.(const run_parsediff $ mutatee_arg $ parsediff_seeds_arg $ verbose_arg)
 
+let snippet_count_arg =
+  Arg.(value & opt int 500 & info [ "count" ] ~docv:"K" ~doc:"number of random snippets")
+
+let snippet_seed_arg =
+  Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"N" ~doc:"seed of the first snippet")
+
+let snippet_cmd =
+  Cmd.v
+    (Cmd.info "snippet" ~doc:"CodeGenAPI vs reference snippet evaluation differential")
+    Term.(const run_snippet $ snippet_seed_arg $ snippet_count_arg $ verbose_arg)
+
 let smoke_cmd =
   Cmd.v
     (Cmd.info "smoke" ~doc:"bounded fixed-seed sweep for CI")
@@ -211,8 +231,8 @@ let cmd =
   Cmd.group
     (Cmd.info "rvcheck"
        ~doc:
-         "differential correctness harness: lockstep, engine, parse and \
-          round-trip legs, one replay")
+         "differential correctness harness: lockstep, engine, parse, \
+          round-trip and snippet legs, one replay")
     [
       lockstep_cmd;
       replay_cmd;
@@ -220,6 +240,7 @@ let cmd =
       roundtrip_cmd;
       engine_cmd;
       parsediff_cmd;
+      snippet_cmd;
       smoke_cmd;
     ]
 
