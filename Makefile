@@ -26,7 +26,9 @@
 #                interpreter differential, and the parallel-parser CFG
 #                differential (minicc mutatees vs the sequential
 #                reference, adversarial fuzz streams vs domains=1, at
-#                1/2/4/8 oversubscribed domains).  Deterministic and
+#                1/2/4/8 oversubscribed domains), and 500 random
+#                snippets lowered by CodeGenAPI against a reference
+#                evaluation of their ASTs.  Deterministic and
 #                fast; every divergence of every leg ends in an
 #                `rvcheck replay <case-id>` reproducer line
 #   lint-smoke   the rewrite verifier's gate: lint + instrument +

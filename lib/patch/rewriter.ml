@@ -236,8 +236,9 @@ let wrap_snippet t ~(dead : Reg.t list) (stmts : Codegen_api.Snippet.stmt list)
       List.mapi (fun k r -> Asm.Insn (Build.ld r (8 * k) Reg.sp)) borrowed
       @ [ Asm.Insn (Build.addi Reg.sp Reg.sp frame) ]
     in
+    (* the snippet runs below the save frame: its [Reg sp] reads add it back *)
     let ctx =
-      Codegen.create_ctx ~label_prefix:(fresh_prefix t) ~profile:t.profile
+      Codegen.create_ctx ~label_prefix:(fresh_prefix t) ~sp_bias:frame ~profile:t.profile
         ~scratch:(usable @ borrowed) ()
     in
     (saves @ Codegen.generate ctx stmts @ restores, usable, true)

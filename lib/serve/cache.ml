@@ -29,7 +29,7 @@
    so results computed by jobs already in flight across a flush cannot
    re-enter the cache.  The on-disk store is versioned by
    [schema_version]: opening a directory written by a different schema
-   wipes it rather than serving artifacts in an obsolete format. *)
+   wipes it rather than serving artifacts an older toolkit computed. *)
 
 module Obs = Dyn_obs.Registry
 
@@ -46,8 +46,11 @@ let m_flushes = Obs.counter "serve.cache.flushes"
 let g_bytes = Obs.gauge "serve.cache.resident_bytes"
 let g_entries = Obs.gauge "serve.cache.entries"
 
-(* Bump when the rendered payload format of any action changes. *)
-let schema_version = 1
+(* Bump whenever a toolkit change alters the bytes a job may produce
+   for the same request: the rendered format of any action's payload,
+   or its content (a rewrite's trampolines, a trace's or profile's
+   numbers).  Version 2: CodeGenAPI emits different snippet code. *)
+let schema_version = 2
 
 type value = Bin of Core.binary | Payload of string
 

@@ -10,8 +10,9 @@
     re-enter.  Concurrent requests for the same key run the computation
     once (singleflight). *)
 
-(** Format version of persisted payloads; a disk directory written
-    under a different schema is wiped on open. *)
+(** Version of persisted payloads, bumped whenever a toolkit change
+    alters a payload's format or content; a disk directory written under
+    a different version is wiped on open. *)
 val schema_version : int
 
 type value =

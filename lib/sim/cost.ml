@@ -5,9 +5,12 @@
    most integer ops are 1 cycle, loads have a 3-cycle use latency folded
    into the instruction, multiplies 3, divides ~20, FP adds/muls 4-5,
    FP divide ~25, taken branches pay a 2-cycle redirect penalty.  The
-   absolute numbers are synthetic, but because both the uninstrumented
-   and instrumented runs use the same model, the *overhead ratios* the
-   paper reports are preserved (see DESIGN.md, substitutions). *)
+   absolute numbers are synthetic.  Both the uninstrumented and the
+   instrumented run use the same model, so an overhead ratio is
+   reproducible and the paper's orderings can be checked, but its
+   magnitude depends on the model: a scalar cost sum flatters the
+   added instructions against a wide out-of-order core (see DESIGN.md,
+   substitutions). *)
 
 type model = {
   freq_hz : int64; (* simulated core frequency *)
